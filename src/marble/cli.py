@@ -304,10 +304,6 @@ def cmd_sweep_alpha(args) -> int:
     return 0
 
 
-def _single_level_index(index: DatasetIndex) -> DatasetIndex:
-    return DatasetIndex(task=index.task, records=index.records)
-
-
 def cmd_ablate_scales(args) -> int:
     config = load_run_config(args.config, args.set or [])
     index, base_dir = _load_index(args.data, config.seed)

@@ -196,9 +196,13 @@ def log(a: Tensor) -> Tensor:
 
 
 def softplus(a: Tensor) -> Tensor:
+    """log(1 + e^a), floored at the smallest normal float64 so the result
+    stays strictly positive where it would underflow to 0; the gradient
+    there is already ~0."""
     ad = a.data
     sig = 1.0 / (1.0 + np.exp(-ad))
-    return _finish("softplus", np.logaddexp(0.0, ad), (a,), lambda g: (g * sig,))
+    out = np.maximum(np.logaddexp(0.0, ad), np.finfo(np.float64).tiny)
+    return _finish("softplus", out, (a,), lambda g: (g * sig,))
 
 
 def silu(a: Tensor) -> Tensor:
@@ -297,10 +301,6 @@ def softmax_1d(v: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # gradient verification
-
-
-def backward(tape: Tape, loss: Tensor) -> None:
-    tape.backward(loss)
 
 
 def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor],

@@ -3,10 +3,14 @@
 The block is a simplified diagonal selective SSM: per-channel scalar
 decay a < 0, input-dependent step delta through softplus, per-step input
 and output maps B_t / C_t shared across channels, a multiplicative silu
-gate, a skip path, and a residual connection. A naive O(T^2)
-materialization of the same recurrence (`reference_scan`) serves as the
-correctness oracle, and a plain quadratic self-attention layer is kept
-around as the benchmark foil.
+gate, a skip path, and a residual connection. The scan runs over T in
+fixed chunks with only the state recursion in the Python loop; in
+gradient mode it keeps each chunk's start state and recomputes the
+chunk's states in backward, so its memory is O(T E + (T / 16 + 16) E N)
+instead of O(T E N). A naive O(T^2) materialization of the same
+recurrence (`reference_scan`) serves as the correctness oracle, and a
+plain quadratic self-attention layer is kept around as the benchmark
+foil.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ import numpy as np
 from . import numerics as nm
 from .errors import ConfigError, DimensionError, DomainError
 from .numerics import Tensor
+
+# scan steps per chunk; a (_CHUNK, E, N) state buffer at E=128, N=16 is
+# 256 KB and stays in L2 cache
+_CHUNK = 16
 
 
 @dataclass
@@ -87,8 +95,12 @@ def selective_scan(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
     h[t] = exp(delta[t] * a) (.) h[t-1] + delta[t] * u[t] (x) b[t]
     y[t] = h[t] c[t] + d (.) u[t]
 
-    with h in R^{E x N}, h[0-] = 0. Time Theta(T E N); the per-step states
-    are saved only when gradients are being recorded.
+    with h in R^{E x N}, h[0-] = 0. Time Theta(T E N). The scan walks T in
+    chunks of `_CHUNK` steps: only the state recursion runs per step, and
+    the injections, outputs and gradients are batched per chunk. When
+    gradients are being recorded only each chunk's start state is kept;
+    backward recomputes the chunk's states from it, so memory is
+    O(T E + (T / _CHUNK + _CHUNK) E N) rather than O(T E N).
     """
     ud, dd, bd, cd = u.data, delta.data, b.data, c.data
     ad, skip = a.data, d.data
@@ -105,52 +117,70 @@ def selective_scan(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
 
     abar = np.exp(dd * ad)    # (T, E)
     du = dd * ud              # (T, E)
-    y = np.empty_like(ud)
     needs_grad = nm.active_tape() is not None and any(
         t.requires_grad for t in (u, delta, b, c, a, d))
+    # states are held transposed, (N, E), so the per-step decay broadcasts
+    # along contiguous rows. buf[0] is the state before a chunk and
+    # buf[1 + i] the state after its step i.
+    chunks = range(0, t_len, _CHUNK)
+    tmp = np.empty((n_dim, e_dim))
 
-    h = np.zeros((e_dim, n_dim))
-    hs = None
-    if needs_grad:
-        hs = np.empty((t_len, e_dim, n_dim))
-        for t in range(t_len):
-            h = abar[t][:, None] * h + du[t][:, None] * bd[t][None, :]
-            hs[t] = h
-            y[t] = h @ cd[t] + skip * ud[t]
-    else:
-        # in-place update buffers: the step body allocates nothing, which
-        # keeps long-sequence inference timing linear instead of
-        # allocator-bound
-        inj = np.empty((e_dim, n_dim))
-        tmp = np.empty(e_dim)
-        for t in range(t_len):
-            h *= abar[t][:, None]
-            np.multiply(du[t][:, None], bd[t][None, :], out=inj)
-            h += inj
-            np.matmul(h, cd[t], out=y[t])
-            np.multiply(skip, ud[t], out=tmp)
-            y[t] += tmp
+    def chunk_states(buf, s, e):
+        """States after steps s..e-1 into buf[1:], recurred from buf[0]."""
+        states = buf[1:e - s + 1]
+        np.einsum("tn,te->tne", bd[s:e], du[s:e], out=states)
+        for h_prev, h, abar_t in zip(buf, states, abar[s:e, None, :]):
+            np.multiply(abar_t, h_prev, out=tmp)
+            h += tmp
+        return states
+
+    hbuf = np.zeros((_CHUNK + 1, n_dim, e_dim))
+    starts = np.empty((len(chunks), n_dim, e_dim)) if needs_grad else None
+    y = np.empty_like(ud)
+    for k, s in enumerate(chunks):
+        e = min(s + _CHUNK, t_len)
+        if k:
+            hbuf[0] = hbuf[_CHUNK]    # every chunk but the last is full
+        if needs_grad:
+            starts[k] = hbuf[0]
+        states = chunk_states(hbuf, s, e)
+        np.matmul(cd[s:e, None, :], states, out=y[s:e, None, :])
+    y += skip * ud
 
     def backward(gy):
-        gu = gy * skip
+        g_abar = np.empty_like(dd)    # d loss / d abar[t]
+        g_inj = np.empty_like(dd)     # b[t] . d loss / d h[t]
+        gb = np.empty_like(bd)
+        gc = np.empty_like(cd)
+        gh = np.empty((_CHUNK, n_dim, e_dim))
+        carry = np.zeros((n_dim, e_dim))
+        # the last chunk's states are still in hbuf; the others are
+        # recomputed into rbuf, so hbuf stays valid for another backward
+        rbuf = np.empty_like(hbuf)
+        for k in reversed(range(len(chunks))):
+            s = chunks[k]
+            e = min(s + _CHUNK, t_len)
+            if k == len(chunks) - 1:
+                buf = hbuf
+            else:
+                buf = rbuf
+                rbuf[0] = starts[k]
+                chunk_states(rbuf, s, e)
+            states = buf[1:e - s + 1]
+            ghc = gh[:e - s]
+            np.einsum("tn,te->tne", cd[s:e], gy[s:e], out=ghc)
+            for gh_t, abar_t in zip(ghc[::-1], abar[s:e, None, :][::-1]):
+                gh_t += carry
+                np.multiply(gh_t, abar_t, out=carry)
+            np.matmul(states, gy[s:e, :, None], out=gc[s:e, :, None])
+            np.einsum("tne,tne->te", ghc, buf[:e - s], out=g_abar[s:e])
+            np.matmul(bd[s:e, None, :], ghc, out=g_inj[s:e, None, :])
+            np.matmul(ghc, du[s:e, :, None], out=gb[s:e, :, None])
+        g_abar *= abar
+        gdelta = g_abar * ad + g_inj * ud
+        ga = (g_abar * dd).sum(axis=0)
+        gu = gy * skip + g_inj * dd
         gskip = (gy * ud).sum(axis=0)
-        gdelta = np.zeros_like(dd)
-        gb = np.zeros_like(bd)
-        gc = np.zeros_like(cd)
-        ga = np.zeros_like(ad)
-        carry = np.zeros((e_dim, n_dim))
-        for t in range(t_len - 1, -1, -1):
-            gh = carry + gy[t][:, None] * cd[t][None, :]
-            gc[t] = gy[t] @ hs[t]
-            h_prev = hs[t - 1] if t > 0 else np.zeros((e_dim, n_dim))
-            g_abar = (gh * h_prev).sum(axis=1)
-            gdelta[t] = g_abar * ad * abar[t]
-            ga += g_abar * dd[t] * abar[t]
-            s = gh @ bd[t]
-            gdelta[t] += s * ud[t]
-            gu[t] += s * dd[t]
-            gb[t] = gh.T @ du[t]
-            carry = gh * abar[t][:, None]
         return (gu, gdelta, gb, gc, ga, gskip)
 
     return nm.record_primitive("selective_scan", y, (u, delta, b, c, a, d),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,43 @@ def random_scan_inputs(rng, t_len, e_dim, n_dim, requires_grad=False):
         a=Tensor(-rng.uniform(0.2, 3.0, e_dim), requires_grad),
         d=Tensor(rng.standard_normal(e_dim), requires_grad),
     )
+
+
+def per_step_scan(u, delta, b, c, a, d, gy):
+    """One-step-at-a-time scan and its backward, storing every state: the
+    loop reference for the chunked kernel. Returns (y, (gu, gdelta, gb,
+    gc, ga, gd)) for output gradient gy."""
+    t_len, e_dim = u.shape
+    n_dim = b.shape[1]
+    abar = np.exp(delta * a)
+    du = delta * u
+    y = np.empty_like(u)
+    hs = np.empty((t_len, e_dim, n_dim))
+    h = np.zeros((e_dim, n_dim))
+    for t in range(t_len):
+        h = abar[t][:, None] * h + du[t][:, None] * b[t][None, :]
+        hs[t] = h
+        y[t] = h @ c[t] + d * u[t]
+    gu = gy * d
+    gd = (gy * u).sum(axis=0)
+    gdelta = np.zeros_like(delta)
+    gb = np.zeros_like(b)
+    gc = np.zeros_like(c)
+    ga = np.zeros_like(a)
+    carry = np.zeros((e_dim, n_dim))
+    for t in range(t_len - 1, -1, -1):
+        gh = carry + gy[t][:, None] * c[t][None, :]
+        gc[t] = gy[t] @ hs[t]
+        h_prev = hs[t - 1] if t > 0 else np.zeros((e_dim, n_dim))
+        g_abar = (gh * h_prev).sum(axis=1)
+        gdelta[t] = g_abar * a * abar[t]
+        ga += g_abar * delta[t] * abar[t]
+        s = gh @ b[t]
+        gdelta[t] += s * u[t]
+        gu[t] += s * delta[t]
+        gb[t] = gh.T @ du[t]
+        carry = gh * abar[t][:, None]
+    return y, (gu, gdelta, gb, gc, ga, gd)
 
 
 class TestSelectiveScan:
@@ -65,6 +104,36 @@ class TestSelectiveScan:
         with pytest.raises(DimensionError):
             selective_scan(**ops)
 
+    @pytest.mark.parametrize("t_len", [1, 15, 16, 17, 33, 100])
+    def test_matches_per_step_reference(self, t_len):
+        # chunk boundaries fall at multiples of 16 steps
+        rng = np.random.default_rng(100 + t_len)
+        ops = random_scan_inputs(rng, t_len, 6, 4, requires_grad=True)
+        w = rng.standard_normal((t_len, 6))
+        with nm.Tape() as tape:
+            y = selective_scan(**ops)
+            tape.backward(nm.tsum(nm.mul(y, Tensor(w))))
+        want_y, want_grads = per_step_scan(
+            *(t.data for t in ops.values()), w)
+        for got, want in zip([y.data] + [t.grad for t in ops.values()],
+                             (want_y,) + want_grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_grad_mode_keeps_only_chunk_start_states(self):
+        # storing every (E, N) state would keep T*E*N*8 bytes
+        t_len, e_dim, n_dim = 2048, 32, 8
+        ops = random_scan_inputs(np.random.default_rng(15), t_len, e_dim,
+                                 n_dim, requires_grad=True)
+        with nm.Tape():
+            tracemalloc.start()
+            try:
+                y = selective_scan(**ops)
+                kept, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert y.shape == (t_len, e_dim)
+        assert kept < t_len * e_dim * n_dim * 8 / 2
+
     def test_gradients(self):
         rng = np.random.default_rng(5)
         ops = random_scan_inputs(rng, 5, 2, 3, requires_grad=True)
@@ -73,6 +142,17 @@ class TestSelectiveScan:
             lambda: nm.tsum(nm.mul(selective_scan(**ops), w)),
             list(ops.values()))
         assert err < 1e-6
+
+    def test_gradients_across_chunks(self):
+        # 40 steps span three chunks; the central differences of the
+        # longer sum carry more rounding than the 5-step case above
+        rng = np.random.default_rng(5)
+        ops = random_scan_inputs(rng, 40, 2, 3, requires_grad=True)
+        w = Tensor(rng.standard_normal((40, 2)))
+        err = nm.finite_diff_check(
+            lambda: nm.tsum(nm.mul(selective_scan(**ops), w)),
+            list(ops.values()))
+        assert err < 1e-5
 
     def test_bounded_inputs_stay_bounded(self):
         rng = np.random.default_rng(6)
@@ -125,6 +205,14 @@ class TestSsmBlock:
         y_fwd = ssm_block_forward(Tensor(x), p).data
         y_rev = ssm_block_forward(Tensor(x[::-1]), p).data[::-1]
         assert not np.allclose(y_fwd, y_rev)
+
+    def test_large_inputs_keep_delta_positive(self):
+        # softplus underflows to exactly 0.0 for pre-activations below ~-745
+        rng = np.random.default_rng(16)
+        p = init_ssm_params(64, 128, 16, rng)
+        x = rng.standard_normal((20, 64)) * 1e3
+        y = ssm_block_forward(Tensor(x), p)
+        assert np.isfinite(y.data).all()
 
     def test_decay_strictly_negative(self):
         rng = np.random.default_rng(11)
