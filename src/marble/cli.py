@@ -14,7 +14,7 @@ import csv
 import os
 import shutil
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import field, fields, make_dataclass, replace
 
 import numpy as np
 
@@ -22,78 +22,45 @@ from .bagdata import (DatasetIndex, ManifestRecord, SynthSpec,
                       generate_dataset, load_manifest, read_bag,
                       write_bag, write_manifest)
 from .errors import ConfigError, FormatError, MarbleError, NumericError
-from .network import HEAD_CLASSIFICATION, HEAD_SURVIVAL, save_checkpoint
-from .pyramid import single_level_view
+from .network import save_checkpoint
+from .pyramid import TokenBag, single_level_view
 from .ssmcore import scaling_bench
-from .trainer import TrainConfig, TrainResult, derive_seed, evaluate, train
+from .trainer import (TrainConfig, TrainResult, check_scorable,
+                      derive_seed, evaluate, train)
 
 
-@dataclass
-class RunConfig:
-    """Flat key=value configuration shared by all commands."""
+# TrainConfig fields the dataset decides: the task picks the head, the
+# first bag gives width and level count, the manifest labels give classes.
+_FROM_DATA = ("head", "d_model", "n_levels", "n_classes")
+_TRAIN_KEYS = [f.name for f in fields(TrainConfig) if f.name not in _FROM_DATA]
 
-    # synthetic data
-    n_slides: int = 300
-    levels: int = 2
-    ratio: int = 2
-    coarse_rows: int = 4
-    coarse_cols: int = 4
-    dim: int = 64
-    noise: float = 0.3
-    amplitude: float = 1.5
-    planted_coarse: int = 3
-    planted_fine: int = 3
-    positive_pairs: int = 3
-    task: str = "classification"
-    censor_rate: float = 0.15
-    hazard_gamma: float = 1.5
-    # training
-    base_lr: float = 3e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 1e-2
-    epochs: int = 30
-    warmup_epochs: int = 5
-    early_stop_patience: int = 10
-    batch_size: int = 1
-    drop_alpha: float = 0.1
-    shuffle_each_epoch: bool = True
-    cox_lambda: float = 1e-4
-    cox_chunk: int = 32
-    grad_clip: float = 5.0
-    d_inner: int = 0
-    d_state: int = 16
-    n_classes: int = 2
-    # run control
-    seed: int = 0
-    repeats: int = 1
 
-    def synth_spec(self) -> SynthSpec:
-        return SynthSpec(
-            n_slides=self.n_slides, levels=self.levels, ratio=self.ratio,
-            coarse_rows=self.coarse_rows, coarse_cols=self.coarse_cols,
-            dim=self.dim, noise=self.noise, amplitude=self.amplitude,
-            planted_coarse=self.planted_coarse, planted_fine=self.planted_fine,
-            positive_pairs=self.positive_pairs,
-            task=self.task, censor_rate=self.censor_rate,
-            hazard_gamma=self.hazard_gamma, seed=self.seed)
+def _synth_spec(self) -> SynthSpec:
+    return SynthSpec(**{f.name: getattr(self, f.name) for f in fields(SynthSpec)})
 
-    def train_config(self, task: str, seed: int | None = None,
-                     n_levels: int | None = None) -> TrainConfig:
-        head = HEAD_CLASSIFICATION if task == "classification" else HEAD_SURVIVAL
-        return TrainConfig(
-            base_lr=self.base_lr, betas=(self.beta1, self.beta2),
-            weight_decay=self.weight_decay, epochs=self.epochs,
-            warmup_epochs=self.warmup_epochs,
-            early_stop_patience=self.early_stop_patience,
-            batch_size=self.batch_size, drop_alpha=self.drop_alpha,
-            shuffle_each_epoch=self.shuffle_each_epoch,
-            seed=self.seed if seed is None else seed, head=head,
-            cox_lambda=self.cox_lambda, cox_chunk=self.cox_chunk,
-            grad_clip=self.grad_clip, d_model=self.dim,
-            d_inner=self.d_inner, d_state=self.d_state,
-            n_levels=self.levels if n_levels is None else n_levels,
-            n_classes=self.n_classes)
+
+def _train_config(self, index: DatasetIndex, probe: TokenBag) -> TrainConfig:
+    """The TrainConfig for training on `index`, whose bags look like
+    `probe`."""
+    return TrainConfig(
+        **{key: getattr(self, key) for key in _TRAIN_KEYS}, head=index.task,
+        d_model=probe.levels[0].embeddings.shape[1],
+        n_levels=probe.n_levels,
+        n_classes=max([2] + [r.label + 1 for r in index.records
+                             if r.label is not None]))
+
+
+# Flat key=value configuration shared by all commands: every SynthSpec
+# field, every TrainConfig field the data does not decide (seed is in both
+# and is one key), and the number of repeats.
+_KEYS = {f.name: f for f in (*fields(SynthSpec), *fields(TrainConfig))
+         if f.name not in _FROM_DATA}
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, field(default=f.default)) for f in _KEYS.values()]
+    + [("repeats", "int", field(default=1))],
+    namespace={"__module__": __name__, "synth_spec": _synth_spec,
+               "train_config": _train_config})
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -144,7 +111,7 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
     config = RunConfig(**values)
     # fail fast on values the dataclasses validate lazily
     config.synth_spec()
-    config.train_config(config.task)
+    TrainConfig(**{key: getattr(config, key) for key in _TRAIN_KEYS})
     return config
 
 
@@ -236,8 +203,7 @@ def _train_once(index: DatasetIndex, base_dir: str, tconf: TrainConfig,
                 "stopped_flag"],
                [[r.epoch, repr(r.lr), repr(r.train_loss), repr(r.val_metric),
                  repr(r.best_so_far), int(r.stopped)] for r in result.reports])
-    save_checkpoint(result.params, os.path.join(out_dir, "best.ckpt"),
-                    meta={"seed": tconf.seed})
+    save_checkpoint(result.params, os.path.join(out_dir, "best.ckpt"))
     test_recs = index.split_records("test")
     report = {}
     if test_recs:
@@ -248,13 +214,17 @@ def _train_once(index: DatasetIndex, base_dir: str, tconf: TrainConfig,
 def cmd_train(args) -> int:
     config = load_run_config(args.config, args.set or [])
     index, base_dir = _load_index(args.data, config.seed)
+    base = config.train_config(index, _bag_loader(base_dir)(index.records[0]))
+    test_recs = index.split_records("test")
+    if test_recs:
+        check_scorable("test", test_recs, base)
     with _RunDir(args.out, force=args.force) as out_dir:
         echo_config(config, out_dir)
         rows = []
         for rep in range(config.repeats):
             seed = (config.seed if config.repeats == 1
                     else derive_seed(config.seed, f"repeat:{rep}"))
-            tconf = config.train_config(index.task, seed=seed)
+            tconf = replace(base, seed=seed)
             rep_dir = out_dir if config.repeats == 1 \
                 else os.path.join(out_dir, f"run{rep}")
             os.makedirs(rep_dir, exist_ok=True)
@@ -283,6 +253,7 @@ def cmd_sweep_alpha(args) -> int:
             raise ConfigError(f"grid value {alpha} outside [0, 1)")
     index, base_dir = _load_index(args.data, config.seed)
     loader = _bag_loader(base_dir)
+    base = config.train_config(index, loader(index.records[0]))
     metric_name = "auc" if index.task == "classification" else "c_index"
     with _RunDir(args.out, force=args.force) as out_dir:
         echo_config(config, out_dir)
@@ -291,8 +262,7 @@ def cmd_sweep_alpha(args) -> int:
             metrics = []
             for rep in range(config.repeats):
                 seed = derive_seed(config.seed, f"alpha:{alpha}:rep:{rep}")
-                tconf = replace(config.train_config(index.task, seed=seed),
-                                drop_alpha=alpha)
+                tconf = replace(base, seed=seed, drop_alpha=alpha)
                 result = train(index, tconf, bag_loader=loader)
                 metrics.append(result.best_metric)
             rows.append([repr(alpha), repr(float(np.mean(metrics))),
@@ -319,18 +289,18 @@ def cmd_ablate_scales(args) -> int:
         "fine-only": lambda rec: single_level_view(loader(rec), finest),
         "combined": loader,
     }
+    test_recs = index.split_records("test")
+    check_scorable("test", test_recs, config.train_config(index, probe))
     with _RunDir(args.out, force=args.force) as out_dir:
         echo_config(config, out_dir)
         rows = []
         for name, variant_loader in variants.items():
-            n_levels = probe.n_levels if name == "combined" else 1
+            base = config.train_config(index, variant_loader(index.records[0]))
             metrics = []
             for rep in range(config.repeats):
                 seed = derive_seed(config.seed, f"ablate:{name}:rep:{rep}")
-                tconf = config.train_config(index.task, seed=seed,
-                                            n_levels=n_levels)
+                tconf = replace(base, seed=seed)
                 result = train(index, tconf, bag_loader=variant_loader)
-                test_recs = index.split_records("test")
                 report = evaluate(result.params, test_recs,
                                   bag_loader=variant_loader)
                 metrics.append(report[metric_name])

@@ -10,6 +10,7 @@ inspection.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -185,11 +186,12 @@ def encode_slide(bag: TokenBag, params: MarbleParams) -> SlideOutput:
 # ---------------------------------------------------------------------------
 # checkpoint format: magic "MRBL", version u16, head tag u8, level count
 # u8, record count u32, then per record: name (u16 length + utf-8),
-# ndim u8, dims u32..., float64 payload. Little-endian throughout. A
-# plain-text key=value sidecar carries the model dimensions.
+# ndim u8, dims u32..., float64 payload. Little-endian throughout. The
+# record shapes carry the model dimensions: block0.w_in is (D, E),
+# block0.w_b is (E, N), cls_w is (C, D).
 
 
-def save_checkpoint(params: MarbleParams, path: str, meta: dict | None = None):
+def save_checkpoint(params: MarbleParams, path: str) -> None:
     named = params.named_params()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -205,30 +207,9 @@ def save_checkpoint(params: MarbleParams, path: str, meta: dict | None = None):
                 fh.write(struct.pack("<I", dim))
             fh.write(np.ascontiguousarray(tensor.data,
                                           dtype="<f8").tobytes())
-    sidecar = dict(meta or {})
-    block = params.blocks[0]
-    sidecar.setdefault("D", params.d_model)
-    sidecar.setdefault("E", block.d_inner)
-    sidecar.setdefault("N", block.d_state)
-    sidecar.setdefault("S", params.n_levels - 1)
-    sidecar.setdefault("C", params.n_classes)
-    sidecar.setdefault("seed", 0)
-    with open(path + ".manifest", "w", encoding="utf-8") as fh:
-        for key, value in sidecar.items():
-            fh.write(f"{key}={value}\n")
 
 
-def load_checkpoint(path: str) -> tuple[MarbleParams, dict]:
-    meta: dict[str, str] = {}
-    try:
-        with open(path + ".manifest", "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and "=" in line:
-                    key, value = line.split("=", 1)
-                    meta[key] = value
-    except OSError as exc:
-        raise FormatError(f"missing checkpoint manifest: {exc}") from exc
+def load_checkpoint(path: str) -> MarbleParams:
     with open(path, "rb") as fh:
         blob = fh.read()
     off = 0
@@ -249,34 +230,46 @@ def load_checkpoint(path: str) -> tuple[MarbleParams, dict]:
     if head_tag not in _TAG_HEADS:
         raise FormatError(f"unknown head tag {head_tag}")
     (n_records,) = struct.unpack("<I", need(4, "record count"))
-    arrays: dict[str, np.ndarray] = {}
+    records: dict[str, tuple[tuple[int, ...], bytes]] = {}
     for _ in range(n_records):
         (name_len,) = struct.unpack("<H", need(2, "name length"))
-        name = need(name_len, "name").decode("utf-8")
+        try:
+            name = need(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"record name at offset {off - name_len} is "
+                              f"not valid UTF-8") from exc
         (ndim,) = struct.unpack("<B", need(1, "ndim"))
         shape = tuple(struct.unpack("<I", need(4, "dim"))[0]
                       for _ in range(ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = need(8 * count, f"payload of {name}")
-        arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-
+        if 0 in shape:
+            raise FormatError(f"record '{name}' has a zero dimension "
+                              f"(offset {off})")
+        records[name] = (shape, need(8 * math.prod(shape), f"payload of {name}"))
+    if off != len(blob):
+        raise FormatError(f"{len(blob) - off} bytes after the last record "
+                          f"at offset {off}")
     head = _TAG_HEADS[head_tag]
     try:
-        d_model = int(meta["D"])
-        d_inner = int(meta["E"])
-        d_state = int(meta["N"])
-        n_classes = int(meta.get("C", "2"))
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"checkpoint manifest missing dimension: {exc}") from exc
-    params = init_marble_params(d_model, d_inner, d_state, n_levels, head,
-                                max(n_classes, 2) if head == HEAD_CLASSIFICATION else 2,
-                                np.random.default_rng(0))
-    for name, tensor in params.named_params():
-        if name not in arrays:
+        d_model, d_inner = records["block0.w_in"][0]
+        _, d_state = records["block0.w_b"][0]
+        n_classes = (records["cls_w"][0][0] if head == HEAD_CLASSIFICATION
+                     else 2)
+        params = init_marble_params(d_model, d_inner, d_state, n_levels, head,
+                                    n_classes, np.random.default_rng(0))
+    except (KeyError, IndexError, ValueError, ConfigError) as exc:
+        raise FormatError(f"checkpoint dimensions unreadable: {exc!r}") from exc
+    named = params.named_params()
+    if n_records != len(named):
+        raise FormatError(f"checkpoint has {n_records} records, a model of "
+                          f"its dimensions has {len(named)}")
+    for name, tensor in named:
+        if name not in records:
             raise FormatError(f"checkpoint missing parameter '{name}'")
-        if arrays[name].shape != tensor.data.shape:
-            raise FormatError(
-                f"parameter '{name}' has shape {arrays[name].shape}, "
-                f"expected {tensor.data.shape}")
-        tensor.data = np.ascontiguousarray(arrays[name])
-    return params, meta
+        shape, payload = records[name]
+        if shape != tensor.data.shape:
+            raise FormatError(f"parameter '{name}' has shape {shape}, "
+                              f"expected {tensor.data.shape}")
+        tensor.data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(tensor.data).all():
+            raise FormatError(f"parameter '{name}' has non-finite values")
+    return params

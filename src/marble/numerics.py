@@ -200,14 +200,16 @@ def softplus(a: Tensor) -> Tensor:
     stays strictly positive where it would underflow to 0; the gradient
     there is already ~0."""
     ad = a.data
-    sig = 1.0 / (1.0 + np.exp(-ad))
+    with np.errstate(over="ignore"):   # exp(-x) -> inf gives sigmoid 0
+        sig = 1.0 / (1.0 + np.exp(-ad))
     out = np.maximum(np.logaddexp(0.0, ad), np.finfo(np.float64).tiny)
     return _finish("softplus", out, (a,), lambda g: (g * sig,))
 
 
 def silu(a: Tensor) -> Tensor:
     ad = a.data
-    sig = 1.0 / (1.0 + np.exp(-ad))
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-ad))
     return _finish("silu", ad * sig, (a,),
                    lambda g: (g * (sig * (1.0 + ad * (1.0 - sig))),))
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics as nm
 from .bagdata import DatasetIndex, ManifestRecord, read_bag
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, UndefinedMetricError
 from .metrics import (CoxBatch, accuracy, auc_binary, auc_macro_ovr,
                       c_index, cox_loss, cross_entropy)
 from .network import (HEAD_CLASSIFICATION, HEAD_SURVIVAL, MarbleParams,
@@ -40,12 +40,12 @@ class TrainConfig:
     """Hyperparameters; defaults follow the training protocol."""
 
     base_lr: float = 3e-5
-    betas: tuple[float, float] = (0.9, 0.999)
+    beta1: float = 0.9
+    beta2: float = 0.999
     weight_decay: float = 1e-2
     epochs: int = 30
     warmup_epochs: int = 5
     early_stop_patience: int = 10
-    batch_size: int = 1          # fixed: one slide per forward pass
     drop_alpha: float = 0.1
     shuffle_each_epoch: bool = True
     seed: int = 0
@@ -64,8 +64,6 @@ class TrainConfig:
             raise ConfigError(f"drop_alpha must be in [0, 1), got {self.drop_alpha}")
         if self.warmup_epochs >= self.epochs:
             raise ConfigError("warmup_epochs must be smaller than epochs")
-        if self.batch_size != 1:
-            raise ConfigError("slide-level batch size is fixed at 1")
         if self.head not in (HEAD_CLASSIFICATION, HEAD_SURVIVAL):
             raise ConfigError(f"unknown head '{self.head}'")
         if self.d_inner == 0:
@@ -186,6 +184,7 @@ def train(index: DatasetIndex, config: TrainConfig,
     if config.head != expected_head:
         raise ConfigError(f"config head '{config.head}' does not match "
                           f"dataset task '{index.task}'")
+    check_scorable("val", val_recs, config)
     cache = _BagCache(bag_loader)
     if params is None:
         params = init_marble_params(
@@ -259,7 +258,8 @@ def _class_step(bag, rec, params, named, state, lr, config, epoch) -> float:
             raise NumericError(exc.op,
                                f"epoch {epoch}, slide {rec.slide_id}") from exc
     clip_gradients(named, config.grad_clip)
-    adamw_step(named, state, lr, config.betas, config.weight_decay)
+    adamw_step(named, state, lr, (config.beta1, config.beta2),
+               config.weight_decay)
     return loss.item()
 
 
@@ -277,13 +277,40 @@ def _cox_step(bags, chunk, params, named, state, lr, config, epoch) -> float:
             ids = ",".join(rec.slide_id for rec in chunk)
             raise NumericError(exc.op, f"epoch {epoch}, slides {ids}") from exc
     clip_gradients(named, config.grad_clip)
-    adamw_step(named, state, lr, config.betas, config.weight_decay)
+    adamw_step(named, state, lr, (config.beta1, config.beta2),
+               config.weight_decay)
     return loss.item()
 
 
 def _val_metric(params, records, cache, task) -> float:
     report = evaluate(params, records, bag_loader=cache.get)
     return report["auc"] if task == "classification" else report["c_index"]
+
+
+def _split_metric(head: str, scores: np.ndarray,
+                  records: list[ManifestRecord]) -> float:
+    """A split's metric: AUC of class probabilities (n, C), binary or macro
+    one-vs-rest, or the C-index of risk scores (n,)."""
+    if head == HEAD_SURVIVAL:
+        return c_index(scores, [rec.record for rec in records])
+    labels = np.array([rec.label for rec in records], dtype=int)
+    if scores.shape[1] == 2:
+        return auc_binary(scores[:, 1], labels)
+    return auc_macro_ovr(scores, labels)
+
+
+def check_scorable(split: str, records: list[ManifestRecord],
+                   config: TrainConfig) -> None:
+    """ConfigError unless `split` yields a metric whatever the model
+    predicts: its labels or event times, not the scores, decide."""
+    if not records:
+        raise ConfigError(f"{split} split is empty")
+    shape = ((len(records), config.n_classes)
+             if config.head == HEAD_CLASSIFICATION else len(records))
+    try:
+        _split_metric(config.head, np.zeros(shape), records)
+    except UndefinedMetricError as exc:
+        raise ConfigError(f"{split} split cannot be scored: {exc}") from exc
 
 
 def evaluate(params: MarbleParams, records: list[ManifestRecord],
@@ -306,19 +333,15 @@ def evaluate(params: MarbleParams, records: list[ManifestRecord],
             per_slide.append({"slide_id": rec.slide_id, "label": rec.label,
                               "probs": scores[i].tolist()})
         predicted = scores.argmax(axis=1)
-        if params.n_classes == 2:
-            auc = auc_binary(scores[:, 1], labels)
-        else:
-            auc = auc_macro_ovr(scores, labels)
         return {"task": "classification", "accuracy": accuracy(predicted, labels),
-                "auc": auc, "per_slide": per_slide}
+                "auc": _split_metric(params.head, scores, records),
+                "per_slide": per_slide}
     risks = np.zeros(len(records))
-    recs = []
     for i, rec in enumerate(records):
         out = encode_slide(loader(rec), params)
         risks[i] = out.output.item()
-        recs.append(rec.record)
         per_slide.append({"slide_id": rec.slide_id, "time": rec.record.time,
                           "event": rec.record.event, "risk": risks[i]})
-    return {"task": "survival", "c_index": c_index(risks, recs),
+    return {"task": "survival",
+            "c_index": _split_metric(params.head, risks, records),
             "per_slide": per_slide}

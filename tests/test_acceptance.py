@@ -364,7 +364,7 @@ class TestCriterion9Determinism:
         for run in ("a", "b"):
             result = train(index, cfg, bag_loader=loader)
             path = str(tmp_path / f"{run}.ckpt")
-            save_checkpoint(result.params, path, meta={"seed": cfg.seed})
+            save_checkpoint(result.params, path)
             blobs.append(open(path, "rb").read())
             reports.append([(r.epoch, r.lr, r.train_loss, r.val_metric)
                             for r in result.reports])

@@ -13,6 +13,7 @@ import pytest
 
 from marble.cli import RunConfig, load_run_config, main
 from marble.errors import ConfigError
+from marble.network import load_checkpoint
 
 FAST = [
     "--set", "n_slides=20", "--set", "dim=8", "--set", "coarse_rows=3",
@@ -20,10 +21,25 @@ FAST = [
     "--set", "d_state=2",
 ]
 
+# training keys only: width, levels and classes come from the data
+SHORT = ["--set", "epochs=2", "--set", "warmup_epochs=1", "--set", "d_state=2"]
+# explicit splits for a 20-slide manifest
+SPLITS = ["train"] * 14 + ["val"] * 3 + ["test"] * 3
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def relabel(dataset, labels):
+    """Rewrite the manifest with the given labels and SPLITS."""
+    path = os.path.join(dataset, "manifest.csv")
+    rows = read_csv(path)
+    with open(path, "w") as fh:
+        for row, label, split in zip(rows, labels, SPLITS):
+            fh.write(f"{row[0]},{row[1]},{label},{split}\n")
+    return path
 
 
 @pytest.fixture
@@ -66,6 +82,12 @@ class TestRunConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_run_config("/nonexistent/cfg.txt", [])
+
+    @pytest.mark.parametrize("item", ["batch_size=1", "n_classes=2"])
+    def test_removed_keys_unknown(self, tmp_path, capsys, item):
+        assert main(["train", "--data", str(tmp_path / "manifest.csv"),
+                     "--out", str(tmp_path / "run"), "--set", item]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
 
 class TestGenData:
@@ -135,6 +157,62 @@ class TestTrain:
         assert blob_a == blob_b
         assert read_csv(os.path.join(out_a, "epochs.csv")) == \
             read_csv(os.path.join(out_b, "epochs.csv"))
+
+    def test_classes_from_manifest_labels(self, dataset, tmp_path):
+        manifest = relabel(dataset, [i % 3 for i in range(20)])
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", manifest, "--out", out] + SHORT) == 0
+        params = load_checkpoint(os.path.join(out, "best.ckpt"))
+        assert params.cls_w.shape == (3, 8)
+
+    def test_unscorable_split_exits_before_training(self, tmp_path, capsys):
+        # 12 slides: the seeded 80/10/10 split leaves one val and one test
+        # slide, so neither split can give an AUC
+        data = str(tmp_path / "small")
+        assert main(["gen-data", "--out", data, "--set", "n_slides=12",
+                     "--set", "dim=8", "--set", "coarse_rows=3",
+                     "--set", "coarse_cols=3"]) == 0
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", os.path.join(data, "manifest.csv"),
+                     "--out", out] + SHORT) == 2
+        assert "split cannot be scored" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "epochs.csv"))
+
+    @pytest.mark.parametrize("command,output", [
+        ("train", "epochs.csv"), ("ablate-scales", "ablation.csv")])
+    def test_unscorable_test_exits_before_training(self, dataset, tmp_path,
+                                                   capsys, command, output):
+        manifest = relabel(dataset, [i % 2 for i in range(17)] + [1, 1, 1])
+        out = str(tmp_path / "run")
+        assert main([command, "--data", manifest, "--out", out] + SHORT) == 2
+        assert "test split cannot be scored" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, output))
+
+
+class TestShapeFromData:
+    """A dim=8, 3-level dataset trains with neither dim nor levels set."""
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        out = str(tmp_path / "deep")
+        assert main(["gen-data", "--out", out, "--set", "n_slides=20",
+                     "--set", "dim=8", "--set", "levels=3",
+                     "--set", "coarse_rows=2", "--set", "coarse_cols=2"]) == 0
+        return os.path.join(out, "manifest.csv")
+
+    def test_train(self, deep, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", deep, "--out", out] + SHORT) == 0
+        params = load_checkpoint(os.path.join(out, "best.ckpt"))
+        assert (params.d_model, params.n_levels) == (8, 3)
+
+    def test_sweep_alpha(self, deep, tmp_path):
+        assert main(["sweep-alpha", "--data", deep, "--out",
+                     str(tmp_path / "sweep"), "--grid", "0.1"] + SHORT) == 0
+
+    def test_ablate_scales(self, deep, tmp_path):
+        assert main(["ablate-scales", "--data", deep, "--out",
+                     str(tmp_path / "ablate")] + SHORT) == 0
 
 
 class TestSweepAlpha:

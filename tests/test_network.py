@@ -1,5 +1,8 @@
 """Tests for the full multi-scale network and its checkpoint format."""
 
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -188,10 +191,9 @@ class TestCheckpoint:
         rng = np.random.default_rng(13)
         params = init_marble_params(8, 16, 4, 2, head, n_classes, rng)
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(params, path, meta={"seed": 7})
-        loaded, meta = load_checkpoint(path)
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
         assert loaded.head == head
-        assert meta["seed"] == "7"
         for (name_a, a), (name_b, b) in zip(params.named_params(),
                                             loaded.named_params()):
             assert name_a == name_b
@@ -203,7 +205,7 @@ class TestCheckpoint:
         params = init_marble_params(8, 16, 4, 2, HEAD_CLASSIFICATION, 2, rng)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(params, path)
-        loaded, _ = load_checkpoint(path)
+        loaded = load_checkpoint(path)
         np.testing.assert_array_equal(encode_slide(bag, params).output.data,
                                       encode_slide(bag, loaded).output.data)
 
@@ -228,11 +230,76 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
 
-    def test_missing_manifest(self, tmp_path):
+    def test_loads_without_sidecar(self, tmp_path):
+        # the record shapes carry every dimension: D, E, N, levels, C
         rng = np.random.default_rng(17)
+        params = init_marble_params(8, 12, 4, 3, HEAD_CLASSIFICATION, 3, rng)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(params, path)
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+        loaded = load_checkpoint(path)
+        assert (loaded.d_model, loaded.blocks[0].d_inner,
+                loaded.blocks[0].d_state, loaded.n_levels,
+                loaded.n_classes) == (8, 12, 4, 3, 3)
+        for (_, a), (_, b) in zip(params.named_params(),
+                                  loaded.named_params()):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        rng = np.random.default_rng(18)
         params = init_marble_params(8, 16, 4, 1, HEAD_SURVIVAL, 2, rng)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(params, path)
-        (tmp_path / "model.ckpt.manifest").unlink()
-        with pytest.raises(FormatError, match="manifest"):
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(FormatError, match="after the last record"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset,raw,message", [
+        (14, b"\xff", "not valid UTF-8"),          # first record's name
+        (26, struct.pack("<I", 0), "zero dimension"),  # its first dim
+    ])
+    def test_corrupt_record_header(self, tmp_path, offset, raw, message):
+        rng = np.random.default_rng(20)
+        params = init_marble_params(8, 16, 4, 1, HEAD_SURVIVAL, 2, rng)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(params, path)
+        blob = bytearray(open(path, "rb").read())
+        assert blob[14:25] == b"block0.w_in"
+        blob[offset:offset + len(raw)] = raw
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
+    def test_fuzz_corruptions_raise_format_error(self, tmp_path):
+        # criterion 10's four corruption modes applied to a checkpoint:
+        # each corrupted file either loads or raises FormatError, and every
+        # truncated or extended file is rejected
+        rng = np.random.default_rng(1000)
+        params = init_marble_params(8, 16, 4, 2, HEAD_CLASSIFICATION, 2,
+                                    np.random.default_rng(19))
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(params, path)
+        blob = open(path, "rb").read()
+        rejected = [0, 0, 0, 0]
+        for case in range(500):
+            corrupt = bytearray(blob)
+            mode = case % 4
+            if mode == 0:
+                corrupt = corrupt[:int(rng.integers(len(blob)))]
+            elif mode == 1:
+                pos = int(rng.integers(len(corrupt)))
+                corrupt[pos] = int(rng.integers(256))
+            elif mode == 2:
+                corrupt += bytes(rng.integers(0, 256, size=int(
+                    rng.integers(1, 16)), dtype=np.uint8))
+            else:
+                pos = int(rng.integers(4, len(corrupt)))
+                corrupt[pos:pos + 4] = struct.pack(
+                    "<I", int(rng.integers(0, 2 ** 32)))
+            open(path, "wb").write(bytes(corrupt))
+            try:
+                load_checkpoint(path)
+            except FormatError:
+                rejected[mode] += 1
+        assert rejected[0] == rejected[2] == 125

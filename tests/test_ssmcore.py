@@ -206,6 +206,7 @@ class TestSsmBlock:
         y_rev = ssm_block_forward(Tensor(x[::-1]), p).data[::-1]
         assert not np.allclose(y_fwd, y_rev)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_inputs_keep_delta_positive(self):
         # softplus underflows to exactly 0.0 for pre-activations below ~-745
         rng = np.random.default_rng(16)

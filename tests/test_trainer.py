@@ -147,7 +147,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"drop_alpha": 1.0}, {"warmup_epochs": 5, "epochs": 3},
-        {"batch_size": 2}, {"head": "regression"},
+        {"head": "regression"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -209,6 +209,21 @@ class TestTrainLoop:
         index.records = [r for r in index.records if r.split != "val"]
         with pytest.raises(ConfigError):
             train(index, tiny_config(), bag_loader=loader)
+
+    @pytest.mark.parametrize("task", ["classification", "survival"])
+    def test_unscorable_val_rejected_before_training(self, task):
+        index, loader = make_index(task=task)
+        # one class, or no observed event: no metric whatever the scores
+        for rec in index.split_records("val"):
+            if task == "classification":
+                rec.label = 0
+            else:
+                rec.record = SurvivalRecord(rec.record.time, False)
+        loaded = []
+        with pytest.raises(ConfigError, match="val split cannot be scored"):
+            train(index, tiny_config(head=task),
+                  bag_loader=lambda rec: loaded.append(rec) or loader(rec))
+        assert loaded == []
 
     def test_returns_best_not_last(self):
         index, loader = make_index()
