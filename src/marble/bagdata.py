@@ -247,11 +247,16 @@ def read_bag(path: str) -> TokenBag:
     version, n_levels, dim = struct.unpack("<HBI", need(7, "header"))
     if version != BAG_VERSION:
         raise FormatError(f"unsupported bag version {version} at offset 4")
+    if n_levels == 0 or dim == 0:
+        raise FormatError(f"bag has {n_levels} levels of dim {dim}, "
+                          f"offset 4")
     levels: list[BagLevel] = []
-    prev_count = 0
     for k in range(n_levels):
         header_off = off
         count, ratio = struct.unpack("<II", need(8, f"level {k} header"))
+        if count == 0:
+            raise FormatError(f"level {k} is empty, offset {header_off}")
+        coords_off = off
         coords = np.frombuffer(need(8 * count, f"level {k} coords"),
                                dtype="<i4").reshape(count, 2).astype(np.int64)
         parents_raw = np.frombuffer(need(4 * count, f"level {k} parents"),
@@ -259,20 +264,30 @@ def read_bag(path: str) -> TokenBag:
         emb = np.frombuffer(need(4 * count * dim, f"level {k} embeddings"),
                             dtype="<f4").reshape(count, dim).astype(np.float64)
         if k == 0:
-            if count and not np.all(parents_raw == _NO_PARENT):
+            if not np.all(parents_raw == _NO_PARENT):
                 raise FormatError(
                     f"level 0 parents must be sentinel, offset {header_off}")
+            # finer coordinates that lie under these are non-negative too
+            if coords.min() < 0:
+                bad = int(np.argmax(coords.ravel() < 0))
+                raise FormatError(f"level 0 has a negative coordinate at "
+                                  f"offset {coords_off + 4 * bad}")
             parents = None
         else:
             if ratio < 1:
                 raise FormatError(f"level {k} ratio must be >= 1, offset {header_off}")
             parents = parents_raw.astype(np.int64)
-            if count and (parents.min() < 0 or parents.max() >= prev_count):
+            if parents.max() >= levels[-1].count:  # uint32: never negative
                 raise FormatError(
                     f"level {k} parent index out of range at offset {header_off}")
+            stray = coords // ratio != levels[-1].coords.take(parents, axis=0)
+            if stray.any():
+                bad = int(np.argmax(stray.ravel()))
+                raise FormatError(
+                    f"level {k} coordinate at offset {coords_off + 4 * bad} "
+                    f"does not lie under its parent's")
         levels.append(BagLevel(emb.copy(), coords.copy(), parents,
                                None if k == 0 else int(ratio)))
-        prev_count = count
     if off != len(blob):
         raise FormatError(f"trailing bytes after offset {off}")
     return TokenBag(levels=levels)
@@ -316,7 +331,7 @@ def write_manifest(path: str, index: DatasetIndex) -> None:
 
 def load_manifest(path: str, split_seed: int = 0) -> DatasetIndex:
     """Parse a manifest; rows without a split column get a deterministic
-    seeded 80/10/10 assignment."""
+    seeded 80/10/10 assignment, stratified by label (`assign_splits`)."""
     records: list[ManifestRecord] = []
     task: str | None = None
     seen: set[str] = set()
@@ -365,18 +380,34 @@ def load_manifest(path: str, split_seed: int = 0) -> DatasetIndex:
     if not records:
         raise FormatError("manifest contains no records")
 
-    missing = [r for r in records if r.split is None]
-    if missing:
-        rng = np.random.default_rng(split_seed)
-        order = rng.permutation(len(missing))
-        n = len(missing)
-        n_train = int(n * 0.8)
-        n_val = int(n * 0.1)
-        for pos, idx in enumerate(order):
-            if pos < n_train:
-                missing[idx].split = "train"
-            elif pos < n_train + n_val:
-                missing[idx].split = "val"
-            else:
-                missing[idx].split = "test"
+    n = sum(1 for r in records if r.split is None)
+    n_train, n_val = int(n * 0.8), int(n * 0.1)
+    assign_splits(records, {"test": n - n_train - n_val, "val": n_val},
+                  split_seed)
     return DatasetIndex(task=task, records=records)
+
+
+def assign_splits(records: list[ManifestRecord], counts: dict[str, int],
+                  seed: int) -> None:
+    """Give every record without a split one, stratified by label: each
+    label's records (survival records, label None, are one group) are
+    shuffled by one seeded generator, then each split in `counts`, in
+    order, is dealt one record from the end of each group in turn until
+    it has its count. The rest go to train."""
+    groups: dict = {}
+    for rec in records:
+        if rec.split is None:
+            groups.setdefault(rec.label, []).append(rec)
+    rng = np.random.default_rng(seed)
+    pools = [[group[i] for i in rng.permutation(len(group))]
+             for group in groups.values()]
+    for split, count in counts.items():
+        dealt = 0
+        while dealt < count and any(pools):
+            for pool in pools:
+                if pool and dealt < count:
+                    pool.pop().split = split
+                    dealt += 1
+    for pool in pools:
+        for rec in pool:
+            rec.split = "train"

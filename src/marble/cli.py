@@ -25,7 +25,7 @@ from .errors import ConfigError, FormatError, MarbleError, NumericError
 from .network import save_checkpoint
 from .pyramid import TokenBag, single_level_view
 from .ssmcore import scaling_bench
-from .trainer import (TrainConfig, TrainResult, check_scorable,
+from .trainer import (METRIC, TrainConfig, TrainResult, check_scorable,
                       derive_seed, evaluate, train)
 
 
@@ -229,7 +229,7 @@ def cmd_train(args) -> int:
                 else os.path.join(out_dir, f"run{rep}")
             os.makedirs(rep_dir, exist_ok=True)
             result, report = _train_once(index, base_dir, tconf, rep_dir)
-            metric_name = "auc" if index.task == "classification" else "c_index"
+            metric_name = METRIC[index.task]
             test_metric = report.get(metric_name, float("nan"))
             rows.append([rep, seed, result.best_epoch,
                          repr(result.best_metric), repr(test_metric)])
@@ -254,7 +254,7 @@ def cmd_sweep_alpha(args) -> int:
     index, base_dir = _load_index(args.data, config.seed)
     loader = _bag_loader(base_dir)
     base = config.train_config(index, loader(index.records[0]))
-    metric_name = "auc" if index.task == "classification" else "c_index"
+    metric_name = METRIC[index.task]
     with _RunDir(args.out, force=args.force) as out_dir:
         echo_config(config, out_dir)
         rows = []
@@ -282,7 +282,7 @@ def cmd_ablate_scales(args) -> int:
     if probe.n_levels < 2:
         raise ConfigError("ablate-scales needs a dataset with at least 2 levels")
     finest = probe.n_levels - 1
-    metric_name = "auc" if index.task == "classification" else "c_index"
+    metric_name = METRIC[index.task]
 
     variants = {
         "coarse-only": lambda rec: single_level_view(loader(rec), 0),

@@ -9,13 +9,13 @@ exposes `predict`/`predict_proba`/`score`.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 try:
     from sklearn.base import BaseEstimator
 except ImportError:  # sklearn is optional; provide the same param contract
-    import inspect
-
     class BaseEstimator:  # type: ignore[no-redef]
         def get_params(self, deep=True):
             sig = inspect.signature(type(self).__init__)
@@ -30,12 +30,11 @@ except ImportError:  # sklearn is optional; provide the same param contract
                 setattr(self, key, value)
             return self
 
-from .bagdata import DatasetIndex, ManifestRecord
+from .bagdata import DatasetIndex, ManifestRecord, assign_splits
 from .errors import ConfigError
 from .metrics import SurvivalRecord, accuracy, c_index
-from .network import HEAD_CLASSIFICATION, HEAD_SURVIVAL, encode_slide
 from .pyramid import TokenBag
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, predict, train
 
 
 def _check_bags(X) -> list[TokenBag]:
@@ -48,64 +47,49 @@ def _check_bags(X) -> list[TokenBag]:
     return bags
 
 
-class _MarbleBase(BaseEstimator):
-    def __init__(self, d_state=16, epochs=30, warmup_epochs=5, base_lr=3e-5,
-                 weight_decay=1e-2, drop_alpha=0.1, early_stop_patience=10,
-                 val_fraction=0.15, grad_clip=5.0, random_state=0):
-        self.d_state = d_state
-        self.epochs = epochs
-        self.warmup_epochs = warmup_epochs
-        self.base_lr = base_lr
-        self.weight_decay = weight_decay
-        self.drop_alpha = drop_alpha
-        self.early_stop_patience = early_stop_patience
-        self.val_fraction = val_fraction
-        self.grad_clip = grad_clip
-        self.random_state = random_state
+# TrainConfig fields the estimators expose; the data decides the model's
+# width, level count, classes and head.
+_TRAIN_PARAMS = ("d_state", "epochs", "warmup_epochs", "base_lr",
+                 "weight_decay", "drop_alpha", "early_stop_patience",
+                 "grad_clip")
+_DEFAULTS = {**{name: getattr(TrainConfig, name) for name in _TRAIN_PARAMS},
+             "val_fraction": 0.15, "random_state": 0}
 
-    def _train(self, bags: list[TokenBag], make_record, task: str,
-               n_classes: int, stratify=None) -> None:
-        dim = bags[0].levels[0].embeddings.shape[1]
-        n_levels = bags[0].n_levels
-        records = [make_record(f"bag{i:05d}", i) for i in range(len(bags))]
-        rng = np.random.default_rng(self.random_state)
+
+class _MarbleBase(BaseEstimator):
+    def __init__(self, **params):
+        unknown = sorted(set(params) - set(_DEFAULTS))
+        if unknown:
+            raise TypeError(f"unknown parameter(s): {', '.join(unknown)}")
+        for name, default in _DEFAULTS.items():
+            setattr(self, name, params.get(name, default))
+
+    # keyword-only parameters with TrainConfig's defaults, so get_params
+    # reads them from the signature
+    __init__.__signature__ = inspect.Signature(
+        [inspect.Parameter("self", inspect.Parameter.POSITIONAL_OR_KEYWORD)]
+        + [inspect.Parameter(name, inspect.Parameter.KEYWORD_ONLY,
+                             default=default)
+           for name, default in _DEFAULTS.items()])
+
+    def _train(self, bags: list[TokenBag], records: list[ManifestRecord],
+               task: str, n_classes: int) -> None:
         n_val = max(1, int(round(self.val_fraction * len(records))))
         if n_val >= len(records):
             raise ConfigError("not enough bags for a train/val split")
-        if stratify is not None:
-            # round-robin over shuffled per-class pools so the validation
-            # split keeps every class (AUC needs both)
-            groups = {}
-            for i, s in enumerate(stratify):
-                groups.setdefault(s, []).append(i)
-            pools = [rng.permutation(idx).tolist()
-                     for idx in groups.values()]
-            picked: list[int] = []
-            while len(picked) < n_val and any(pools):
-                for pool in pools:
-                    if pool and len(picked) < n_val:
-                        picked.append(pool.pop())
-            val_set = set(picked)
-        else:
-            order = rng.permutation(len(records))
-            val_set = set(order[:n_val].tolist())
-        for i, rec in enumerate(records):
-            rec.split = "val" if i in val_set else "train"
+        assign_splits(records, {"val": n_val}, self.random_state)
         index = DatasetIndex(task=task, records=records)
-        head = HEAD_CLASSIFICATION if task == "classification" else HEAD_SURVIVAL
         config = TrainConfig(
-            base_lr=self.base_lr, weight_decay=self.weight_decay,
-            epochs=self.epochs, warmup_epochs=self.warmup_epochs,
-            early_stop_patience=self.early_stop_patience,
-            drop_alpha=self.drop_alpha, seed=self.random_state, head=head,
-            grad_clip=self.grad_clip, d_model=dim, d_state=self.d_state,
-            n_levels=n_levels, n_classes=n_classes)
+            **{name: getattr(self, name) for name in _TRAIN_PARAMS},
+            seed=self.random_state, head=task,
+            d_model=bags[0].levels[0].embeddings.shape[1],
+            n_levels=bags[0].n_levels, n_classes=n_classes)
         lookup = {rec.slide_id: bags[i] for i, rec in enumerate(records)}
         result = train(index, config, bag_loader=lambda r: lookup[r.slide_id])
         self.params_ = result.params
         self.best_val_metric_ = result.best_metric
-        self.n_levels_ = n_levels
-        self.d_model_ = dim
+        self.n_levels_ = config.n_levels
+        self.d_model_ = config.d_model
 
 
 class MarbleClassifier(_MarbleBase):
@@ -121,19 +105,13 @@ class MarbleClassifier(_MarbleBase):
             raise ConfigError("need at least two classes to fit")
         class_index = {c: i for i, c in enumerate(self.classes_.tolist())}
         labels = [class_index[v] for v in y.tolist()]
-        self._train(bags,
-                    lambda sid, i: ManifestRecord(sid, "", label=labels[i]),
-                    "classification", self.classes_.size, stratify=labels)
+        self._train(bags, [ManifestRecord(f"bag{i:05d}", "", label=label)
+                           for i, label in enumerate(labels)],
+                    "classification", self.classes_.size)
         return self
 
     def predict_proba(self, X):
-        bags = _check_bags(X)
-        probs = np.zeros((len(bags), self.classes_.size))
-        for i, bag in enumerate(bags):
-            logits = encode_slide(bag, self.params_).output.data
-            e = np.exp(logits - logits.max())
-            probs[i] = e / e.sum()
-        return probs
+        return predict(self.params_, _check_bags(X))
 
     def predict(self, X):
         return self.classes_[self.predict_proba(X).argmax(axis=1)]
@@ -154,15 +132,13 @@ class MarbleCoxRegressor(_MarbleBase):
                    else SurvivalRecord(float(r[0]), bool(r[1])) for r in y]
         if len(records) != len(bags):
             raise ConfigError("X and y length mismatch")
-        self._train(bags,
-                    lambda sid, i: ManifestRecord(sid, "", record=records[i]),
+        self._train(bags, [ManifestRecord(f"bag{i:05d}", "", record=record)
+                           for i, record in enumerate(records)],
                     "survival", 2)
         return self
 
     def predict(self, X):
-        bags = _check_bags(X)
-        return np.asarray([encode_slide(bag, self.params_).output.item()
-                           for bag in bags])
+        return predict(self.params_, _check_bags(X))
 
     def score(self, X, y):
         records = [r if isinstance(r, SurvivalRecord)

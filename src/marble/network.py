@@ -92,6 +92,25 @@ class SlideOutput:
     output: Tensor            # logits (C,) or risk scalar ()
 
 
+def param_shapes(d_model: int, d_inner: int, d_state: int, n_levels: int,
+                 head: str, n_classes: int) -> list[tuple[str, tuple]]:
+    """(name, shape) of every parameter, in `named_params` order."""
+    block = [("w_in", (d_model, d_inner)), ("w_gate", (d_model, d_inner)),
+             ("w_delta", (d_inner, d_inner)), ("b_delta", (d_inner,)),
+             ("w_b", (d_inner, d_state)), ("w_c", (d_inner, d_state)),
+             ("a_log", (d_inner,)), ("d_skip", (d_inner,)),
+             ("w_out", (d_inner, d_model))]
+    out = [(f"block{k}.{name}", shape)
+           for k in range(n_levels) for name, shape in block]
+    for k in range(1, n_levels):
+        out += [(f"fuse{k}.w", (2 * d_model, d_model)),
+                (f"fuse{k}.b", (d_model,))]
+    out.append(("pool_w", (d_model,)))
+    if head == HEAD_CLASSIFICATION:
+        return out + [("cls_w", (n_classes, d_model)), ("cls_b", (n_classes,))]
+    return out + [("cox_beta", (d_model,))]
+
+
 def init_marble_params(d_model: int, d_inner: int, d_state: int,
                        n_levels: int, head: str, n_classes: int,
                        rng: np.random.Generator) -> MarbleParams:
@@ -254,21 +273,24 @@ def load_checkpoint(path: str) -> MarbleParams:
         _, d_state = records["block0.w_b"][0]
         n_classes = (records["cls_w"][0][0] if head == HEAD_CLASSIFICATION
                      else 2)
+        # check every record against the model before allocating it
+        expected = param_shapes(d_model, d_inner, d_state, n_levels, head,
+                                n_classes)
+        if n_records != len(expected):
+            raise FormatError(f"checkpoint has {n_records} records, a model "
+                              f"of its dimensions has {len(expected)}")
+        for name, shape in expected:
+            if name not in records:
+                raise FormatError(f"checkpoint missing parameter '{name}'")
+            if records[name][0] != shape:
+                raise FormatError(f"parameter '{name}' has shape "
+                                  f"{records[name][0]}, expected {shape}")
         params = init_marble_params(d_model, d_inner, d_state, n_levels, head,
                                     n_classes, np.random.default_rng(0))
     except (KeyError, IndexError, ValueError, ConfigError) as exc:
         raise FormatError(f"checkpoint dimensions unreadable: {exc!r}") from exc
-    named = params.named_params()
-    if n_records != len(named):
-        raise FormatError(f"checkpoint has {n_records} records, a model of "
-                          f"its dimensions has {len(named)}")
-    for name, tensor in named:
-        if name not in records:
-            raise FormatError(f"checkpoint missing parameter '{name}'")
+    for name, tensor in params.named_params():
         shape, payload = records[name]
-        if shape != tensor.data.shape:
-            raise FormatError(f"parameter '{name}' has shape {shape}, "
-                              f"expected {tensor.data.shape}")
         tensor.data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         if not np.isfinite(tensor.data).all():
             raise FormatError(f"parameter '{name}' has non-finite values")

@@ -44,32 +44,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; scalars go through scale/add_scalar
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, float(other))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, -float(other))
-        return add(self, scale(other, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Ordered record of primitive applications for one forward pass.

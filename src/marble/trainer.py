@@ -20,13 +20,18 @@ import numpy as np
 
 from . import numerics as nm
 from .bagdata import DatasetIndex, ManifestRecord, read_bag
-from .errors import ConfigError, NumericError, UndefinedMetricError
+from .errors import (ConfigError, MarbleError, NumericError,
+                     UndefinedMetricError)
 from .metrics import (CoxBatch, accuracy, auc_binary, auc_macro_ovr,
                       c_index, cox_loss, cross_entropy)
 from .network import (HEAD_CLASSIFICATION, HEAD_SURVIVAL, MarbleParams,
                       encode_slide, init_marble_params)
 from .numerics import Tape, Tensor
 from .pyramid import TokenBag, coarse_branch_drop, shuffle_within_levels
+
+
+# The metric each task is scored and early-stopped by.
+METRIC = {HEAD_CLASSIFICATION: "auc", HEAD_SURVIVAL: "c_index"}
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -194,6 +199,7 @@ def train(index: DatasetIndex, config: TrainConfig,
     named = params.named_params()
     state = OptimizerState()
     order_rng = np.random.default_rng(derive_seed(config.seed, "order"))
+    step = 1 if config.head == HEAD_CLASSIFICATION else config.cox_chunk
 
     best_metric = -math.inf
     best_epoch = -1
@@ -205,28 +211,19 @@ def train(index: DatasetIndex, config: TrainConfig,
         lr = cosine_warmup_lr(epoch, config)
         order = order_rng.permutation(len(train_recs))
         losses: list[float] = []
-        if config.head == HEAD_CLASSIFICATION:
-            for pos, rec_idx in enumerate(order):
-                rec = train_recs[rec_idx]
-                bag = _regularized_bag(
-                    cache.get(rec), config,
-                    derive_seed(config.seed, f"drop:{epoch}:{pos}"),
-                    derive_seed(config.seed, f"shuffle:{epoch}:{pos}"))
-                losses.append(_class_step(bag, rec, params, named, state,
-                                          lr, config, epoch))
-        else:
-            for start in range(0, len(order), config.cox_chunk):
-                chunk = [train_recs[i] for i in order[start:start + config.cox_chunk]]
-                bags = [_regularized_bag(
-                    cache.get(rec), config,
-                    derive_seed(config.seed, f"drop:{epoch}:{start + j}"),
-                    derive_seed(config.seed, f"shuffle:{epoch}:{start + j}"))
-                    for j, rec in enumerate(chunk)]
-                losses.append(_cox_step(bags, chunk, params, named, state,
-                                        lr, config, epoch))
+        for start in range(0, len(order), step):
+            chunk = [train_recs[i] for i in order[start:start + step]]
+            bags = [_regularized_bag(
+                cache.get(rec), config,
+                derive_seed(config.seed, f"drop:{epoch}:{start + j}"),
+                derive_seed(config.seed, f"shuffle:{epoch}:{start + j}"))
+                for j, rec in enumerate(chunk)]
+            losses.append(_step(bags, chunk, params, named, state, lr,
+                                config, epoch))
         train_loss = float(np.mean(losses)) if losses else 0.0
 
-        val_metric = _val_metric(params, val_recs, cache, index.task)
+        val_metric = evaluate(params, val_recs,
+                              bag_loader=cache.get)[METRIC[index.task]]
         improved = val_metric > best_metric
         if improved:
             best_metric = val_metric
@@ -246,45 +243,32 @@ def train(index: DatasetIndex, config: TrainConfig,
                        best_metric=best_metric, reports=reports)
 
 
-def _class_step(bag, rec, params, named, state, lr, config, epoch) -> float:
+def _step(bags, chunk, params, named, state, lr, config, epoch) -> float:
+    """One optimizer step on the slides of `chunk`, already loaded as
+    `bags`: cross-entropy on one slide, or the Cox loss on the chunk."""
     for _, p in named:
         p.grad = None
     with Tape() as tape:
         try:
-            out = encode_slide(bag, params)
-            loss = cross_entropy(out.output, rec.label)
+            outputs = [encode_slide(bag, params).output for bag in bags]
+            if config.head == HEAD_CLASSIFICATION:
+                loss = cross_entropy(outputs[0], chunk[0].label)
+            else:
+                batch = CoxBatch(nm.stack_scalars(outputs),
+                                 [rec.record for rec in chunk])
+                loss = cox_loss(batch, config.cox_lambda,
+                                params.squared_norm())
             tape.backward(loss)
-        except NumericError as exc:
-            raise NumericError(exc.op,
-                               f"epoch {epoch}, slide {rec.slide_id}") from exc
+        except MarbleError as exc:
+            where = (f"epoch {epoch}, slide{'s' if len(chunk) > 1 else ''} "
+                     + ",".join(rec.slide_id for rec in chunk))
+            if isinstance(exc, NumericError):
+                raise NumericError(exc.op, where) from exc
+            raise type(exc)(f"{exc} ({where})") from exc
     clip_gradients(named, config.grad_clip)
     adamw_step(named, state, lr, (config.beta1, config.beta2),
                config.weight_decay)
     return loss.item()
-
-
-def _cox_step(bags, chunk, params, named, state, lr, config, epoch) -> float:
-    for _, p in named:
-        p.grad = None
-    with Tape() as tape:
-        try:
-            risks = [encode_slide(bag, params).output for bag in bags]
-            batch = CoxBatch(nm.stack_scalars(risks),
-                             [rec.record for rec in chunk])
-            loss = cox_loss(batch, config.cox_lambda, params.squared_norm())
-            tape.backward(loss)
-        except NumericError as exc:
-            ids = ",".join(rec.slide_id for rec in chunk)
-            raise NumericError(exc.op, f"epoch {epoch}, slides {ids}") from exc
-    clip_gradients(named, config.grad_clip)
-    adamw_step(named, state, lr, (config.beta1, config.beta2),
-               config.weight_decay)
-    return loss.item()
-
-
-def _val_metric(params, records, cache, task) -> float:
-    report = evaluate(params, records, bag_loader=cache.get)
-    return report["auc"] if task == "classification" else report["c_index"]
 
 
 def _split_metric(head: str, scores: np.ndarray,
@@ -313,6 +297,20 @@ def check_scorable(split: str, records: list[ManifestRecord],
         raise ConfigError(f"{split} split cannot be scored: {exc}") from exc
 
 
+def predict(params: MarbleParams, bags) -> np.ndarray:
+    """Class probabilities (n, C) or risk scores (n,) for the bags of an
+    iterable, in order, with no regularizers."""
+    rows = []
+    for bag in bags:
+        output = encode_slide(bag, params).output.data
+        if params.head == HEAD_SURVIVAL:
+            rows.append(output.item())
+        else:
+            e = np.exp(output - output.max())
+            rows.append(e / e.sum())
+    return np.array(rows)
+
+
 def evaluate(params: MarbleParams, records: list[ManifestRecord],
              bag_loader=None) -> dict:
     """Deterministic evaluation: full bags, canonical order, no
@@ -320,28 +318,18 @@ def evaluate(params: MarbleParams, records: list[ManifestRecord],
     if not records:
         raise ConfigError("cannot evaluate on an empty split")
     loader = bag_loader or (lambda record: read_bag(record.path))
-    per_slide = []
+    # a generator, so each slide is loaded just before its forward pass
+    scores = predict(params, (loader(rec) for rec in records))
+    metric = _split_metric(params.head, scores, records)
     if params.head == HEAD_CLASSIFICATION:
-        scores = np.zeros((len(records), params.n_classes))
-        labels = np.zeros(len(records), dtype=int)
-        for i, rec in enumerate(records):
-            out = encode_slide(loader(rec), params)
-            logits = out.output.data
-            e = np.exp(logits - logits.max())
-            scores[i] = e / e.sum()
-            labels[i] = rec.label
-            per_slide.append({"slide_id": rec.slide_id, "label": rec.label,
-                              "probs": scores[i].tolist()})
-        predicted = scores.argmax(axis=1)
-        return {"task": "classification", "accuracy": accuracy(predicted, labels),
-                "auc": _split_metric(params.head, scores, records),
-                "per_slide": per_slide}
-    risks = np.zeros(len(records))
-    for i, rec in enumerate(records):
-        out = encode_slide(loader(rec), params)
-        risks[i] = out.output.item()
-        per_slide.append({"slide_id": rec.slide_id, "time": rec.record.time,
-                          "event": rec.record.event, "risk": risks[i]})
-    return {"task": "survival",
-            "c_index": _split_metric(params.head, risks, records),
-            "per_slide": per_slide}
+        labels = np.array([rec.label for rec in records], dtype=int)
+        per_slide = [{"slide_id": rec.slide_id, "label": rec.label,
+                      "probs": row.tolist()}
+                     for rec, row in zip(records, scores)]
+        return {"task": "classification",
+                "accuracy": accuracy(scores.argmax(axis=1), labels),
+                "auc": metric, "per_slide": per_slide}
+    per_slide = [{"slide_id": rec.slide_id, "time": rec.record.time,
+                  "event": rec.record.event, "risk": risk}
+                 for rec, risk in zip(records, scores)]
+    return {"task": "survival", "c_index": metric, "per_slide": per_slide}

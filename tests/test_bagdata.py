@@ -6,6 +6,8 @@ identical marginal signal counts, and only the co-location of coarse and
 fine signal tokens differs.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from marble.bagdata import (BAG_MAGIC, DatasetIndex, GeneratedSlide,
                             write_manifest)
 from marble.errors import ConfigError, FormatError
 from marble.metrics import SurvivalRecord
+from marble.pyramid import BagLevel, TokenBag
 
 
 class TestSynthSpec:
@@ -197,6 +200,51 @@ class TestBagFormat:
         with pytest.raises(FormatError, match="parent index"):
             read_bag(path)
 
+    def test_zero_levels_rejected(self, tmp_path):
+        path = tmp_path / "x.bag"
+        path.write_bytes(BAG_MAGIC + struct.pack("<HBI", 1, 0, 8))
+        with pytest.raises(FormatError, match="0 levels .* offset 4"):
+            read_bag(str(path))
+
+    def test_zero_dim_rejected(self, tmp_path):
+        level = BagLevel(np.zeros((1, 0)), np.zeros((1, 2), dtype=np.int64),
+                         None)
+        path = str(tmp_path / "x.bag")
+        write_bag(TokenBag(levels=[level]), path)
+        with pytest.raises(FormatError, match="dim 0, offset 4"):
+            read_bag(path)
+
+    def test_empty_level_rejected(self, tmp_path):
+        bag = self._bag(19)
+        bag.levels[1] = BagLevel(np.zeros((0, 64)),
+                                 np.zeros((0, 2), dtype=np.int64),
+                                 np.zeros(0, dtype=np.int64), 2)
+        path = str(tmp_path / "x.bag")
+        write_bag(bag, path)
+        with pytest.raises(FormatError, match="level 1 is empty"):
+            read_bag(path)
+
+    def test_negative_coordinate_rejected(self, tmp_path):
+        bag = self._bag(20)
+        bag.levels[0].coords[3, 1] = -1
+        path = str(tmp_path / "x.bag")
+        write_bag(bag, path)
+        # level 0's coords start after the 11-byte header and the 8-byte
+        # level header; token 3's column is 8 * 3 + 4 bytes further
+        with pytest.raises(FormatError, match="negative coordinate at "
+                                              "offset 47"):
+            read_bag(path)
+
+    def test_coordinates_must_lie_under_parent(self, tmp_path):
+        bag = self._bag(21)
+        fine = bag.levels[1]
+        assert fine.parents[5] != fine.parents[0]
+        fine.coords[5] = fine.coords[0]
+        path = str(tmp_path / "x.bag")
+        write_bag(bag, path)
+        with pytest.raises(FormatError, match="parent's"):
+            read_bag(path)
+
     def test_fuzz_never_crashes(self, tmp_path):
         # random corruptions must raise FormatError, never anything else
         path = str(tmp_path / "x.bag")
@@ -262,6 +310,33 @@ class TestManifest:
         assert [r.split for r in a.records] == [r.split for r in b.records]
         counts = {s: len(a.split_records(s)) for s in ("train", "val", "test")}
         assert counts == {"train": 16, "val": 2, "test": 2}
+
+    def test_missing_split_keeps_both_classes(self, tmp_path):
+        index = self._index(tmp_path, n=20, with_split=False)
+        path = str(tmp_path / "manifest.csv")
+        write_manifest(path, index)
+        for seed in range(50):
+            loaded = load_manifest(path, split_seed=seed)
+            for split in ("val", "test"):
+                labels = {r.label for r in loaded.split_records(split)}
+                assert labels == {0, 1}, (seed, split)
+
+    @pytest.mark.parametrize("n", [7, 20, 37])
+    def test_missing_survival_split_is_seeded_80_10_10(self, tmp_path, n):
+        # survival records form one group, so the split is the plain
+        # seeded permutation: its first 80% train, the next 10% val
+        index = self._index(tmp_path, task="survival", n=n, with_split=False)
+        path = str(tmp_path / "manifest.csv")
+        write_manifest(path, index)
+        for seed in range(5):
+            order = np.random.default_rng(seed).permutation(n)
+            n_train, n_val = int(0.8 * n), int(0.1 * n)
+            expected = [None] * n
+            for pos, i in enumerate(order):
+                expected[i] = ("train" if pos < n_train else "val"
+                               if pos < n_train + n_val else "test")
+            loaded = load_manifest(path, split_seed=seed)
+            assert [r.split for r in loaded.records] == expected
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"

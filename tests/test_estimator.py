@@ -7,6 +7,7 @@ from marble.bagdata import SynthSpec, generate_dataset
 from marble.errors import ConfigError
 from marble.estimator import MarbleClassifier, MarbleCoxRegressor
 from marble.metrics import SurvivalRecord
+from marble.trainer import TrainConfig
 
 
 def toy_data(task="classification", n=16, seed=0):
@@ -35,6 +36,24 @@ class TestParamContract:
         assert params["base_lr"] == 0.123
         clone = MarbleClassifier(**params)
         assert clone.get_params() == params
+
+    def test_sklearn_clone_round_trips(self):
+        base = pytest.importorskip("sklearn.base")
+        clf = MarbleClassifier(epochs=3)
+        assert base.clone(clf).get_params() == clf.get_params()
+
+    def test_defaults_are_train_config_defaults(self):
+        params = MarbleCoxRegressor().get_params()
+        assert len(params) == 10
+        assert params.pop("val_fraction") == 0.15
+        assert params.pop("random_state") == 0
+        assert params == {name: getattr(TrainConfig, name) for name in params}
+
+    def test_parameters_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            MarbleClassifier(16)
+        with pytest.raises(TypeError, match="learning_rate"):
+            MarbleClassifier(learning_rate=0.1)
 
     def test_set_params(self):
         clf = fast_clf()

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from marble.errors import ConfigError, DimensionError, FormatError
 from marble.network import (HEAD_CLASSIFICATION, HEAD_SURVIVAL, MarbleParams,
                             attention_pool, classify, encode_slide,
                             fuse_level, init_marble_params, load_checkpoint,
-                            risk_score, save_checkpoint)
+                            param_shapes, risk_score, save_checkpoint)
 from marble.numerics import Tape, Tensor
 from marble.pyramid import LevelGrid, build_bag
 
@@ -61,6 +62,19 @@ class TestInit:
         names = [n for n, _ in params.named_params()]
         assert len(names) == len(set(names))
         assert all(p.requires_grad for _, p in params.named_params())
+
+    @pytest.mark.parametrize("dims,levels,head,n_classes", [
+        ((8, 16, 4), 1, HEAD_SURVIVAL, 2),
+        ((8, 16, 4), 2, HEAD_CLASSIFICATION, 2),
+        ((4, 6, 2), 3, HEAD_CLASSIFICATION, 5),
+        ((5, 10, 3), 4, HEAD_SURVIVAL, 2),
+    ])
+    def test_param_shapes_match_named_params(self, dims, levels, head,
+                                             n_classes):
+        params = init_marble_params(*dims, levels, head, n_classes,
+                                    np.random.default_rng(3))
+        assert param_shapes(*dims, levels, head, n_classes) == [
+            (name, p.shape) for name, p in params.named_params()]
 
     def test_squared_norm_matches_numpy(self):
         params = init_marble_params(8, 16, 4, 2, HEAD_SURVIVAL, 2,
@@ -303,3 +317,25 @@ class TestCheckpoint:
             except FormatError:
                 rejected[mode] += 1
         assert rejected[0] == rejected[2] == 125
+
+    def test_shapes_checked_before_allocating(self, tmp_path):
+        # a 48 KB file whose block0 records claim E = 3000 under a 4-level
+        # header: a model of those dimensions holds 4 (E, E) w_delta
+        # matrices, 288 MB, so it must be rejected before it is built
+        path = str(tmp_path / "model.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(b"MRBL" + struct.pack("<HBBI", 1, 1, 4, 3))
+            for name, shape in (("block0.w_in", (1, 3000)),
+                                ("block0.w_b", (3000, 1)),
+                                ("cox_beta", (1,))):
+                fh.write(struct.pack("<H", len(name)) + name.encode())
+                fh.write(struct.pack(f"<B{len(shape)}I", len(shape), *shape))
+                fh.write(np.zeros(shape).tobytes())
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="3 records"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20

@@ -6,19 +6,22 @@ determinism, early stopping, and head/task consistency.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from marble import trainer
 from marble.bagdata import (DatasetIndex, ManifestRecord, SynthSpec,
                             generate_dataset)
-from marble.errors import ConfigError
+from marble.errors import ConfigError, DimensionError, NumericError
 from marble.metrics import SurvivalRecord
-from marble.network import HEAD_SURVIVAL
+from marble.network import HEAD_SURVIVAL, init_marble_params
 from marble.numerics import Tensor
+from marble.pyramid import TokenBag
 from marble.trainer import (OptimizerState, TrainConfig, adamw_step,
                             clip_gradients, cosine_warmup_lr, derive_seed,
-                            evaluate, train)
+                            evaluate, predict, train)
 
 
 def make_index(task="classification", n=24, seed=0, **kwargs):
@@ -225,6 +228,30 @@ class TestTrainLoop:
                   bag_loader=lambda rec: loaded.append(rec) or loader(rec))
         assert loaded == []
 
+    @pytest.mark.parametrize("corrupt,error", [
+        (lambda emb: emb[:, :6], DimensionError),
+        (lambda emb: np.full_like(emb, np.nan), NumericError),
+    ], ids=["narrow", "nan"])
+    @pytest.mark.parametrize("task,where", [
+        ("classification", "epoch 0, slide s00005"),
+        ("survival", "epoch 0, slides [s0-9,]*s00005"),
+    ], ids=["classification", "survival"])
+    def test_step_failure_names_epoch_and_slide(self, corrupt, error, task,
+                                                where):
+        index, loader = make_index(task=task)
+
+        def load(rec):
+            bag = loader(rec)
+            if rec.slide_id != "s00005":
+                return bag
+            return TokenBag([replace(lv, embeddings=corrupt(lv.embeddings))
+                             for lv in bag.levels])
+
+        with pytest.raises(error, match=where) as exc:
+            train(index, tiny_config(head=task, cox_chunk=8), bag_loader=load)
+        if error is NumericError:
+            assert exc.value.op
+
     def test_returns_best_not_last(self):
         index, loader = make_index()
         result = train(index, tiny_config(epochs=4), bag_loader=loader)
@@ -262,6 +289,32 @@ class TestEvaluate:
         a = evaluate(result.params, test, bag_loader=loader)
         b = evaluate(result.params, test, bag_loader=loader)
         assert a["per_slide"] == b["per_slide"]
+
+    @pytest.mark.parametrize("task,shape", [("classification", (4, 2)),
+                                            ("survival", (4,))])
+    def test_predict_gives_the_reported_scores(self, task, shape):
+        index, loader = make_index(task=task)
+        params = init_marble_params(16, 32, 4, 2, task, 2,
+                                    np.random.default_rng(0))
+        test = index.split_records("test")
+        scores = predict(params, [loader(rec) for rec in test])
+        assert scores.shape == shape
+        report = evaluate(params, test, bag_loader=loader)
+        key = "probs" if task == "classification" else "risk"
+        assert [row[key] for row in report["per_slide"]] == scores.tolist()
+
+    def test_each_slide_loaded_just_before_its_forward(self, monkeypatch):
+        index, loader = make_index()
+        params = init_marble_params(16, 32, 4, 2, "classification", 2,
+                                    np.random.default_rng(0))
+        events = []
+        encode = trainer.encode_slide
+        monkeypatch.setattr(trainer, "encode_slide", lambda bag, p: (
+            events.append("encode"), encode(bag, p))[1])
+        test = index.split_records("test")
+        evaluate(params, test,
+                 bag_loader=lambda rec: events.append("load") or loader(rec))
+        assert events == ["load", "encode"] * len(test)
 
     def test_empty_records_rejected(self):
         index, loader = make_index()
