@@ -391,23 +391,20 @@ def assign_splits(records: list[ManifestRecord], counts: dict[str, int],
                   seed: int) -> None:
     """Give every record without a split one, stratified by label: each
     label's records (survival records, label None, are one group) are
-    shuffled by one seeded generator, then each split in `counts`, in
-    order, is dealt one record from the end of each group in turn until
-    it has its count. The rest go to train."""
+    shuffled by one seeded generator and dealt from the end, each group at
+    a pace proportional to its size. Each split in `counts`, in order,
+    takes the next records dealt; the rest go to train."""
     groups: dict = {}
     for rec in records:
         if rec.split is None:
             groups.setdefault(rec.label, []).append(rec)
     rng = np.random.default_rng(seed)
-    pools = [[group[i] for i in rng.permutation(len(group))]
-             for group in groups.values()]
-    for split, count in counts.items():
-        dealt = 0
-        while dealt < count and any(pools):
-            for pool in pools:
-                if pool and dealt < count:
-                    pool.pop().split = split
-                    dealt += 1
-    for pool in pools:
-        for rec in pool:
-            rec.split = "train"
+    dealt = []
+    for group in groups.values():
+        pool = [group[i] for i in rng.permutation(len(group))]
+        dealt += [((j + 0.5) / len(pool), rec)
+                  for j, rec in enumerate(reversed(pool))]
+    dealt.sort(key=lambda pair: pair[0])
+    splits = [split for split, count in counts.items() for _ in range(count)]
+    for (_, rec), split in zip(dealt, splits + ["train"] * len(dealt)):
+        rec.split = split

@@ -52,25 +52,28 @@ def _check_bags(X) -> list[TokenBag]:
 _TRAIN_PARAMS = ("d_state", "epochs", "warmup_epochs", "base_lr",
                  "weight_decay", "drop_alpha", "early_stop_patience",
                  "grad_clip")
-_DEFAULTS = {**{name: getattr(TrainConfig, name) for name in _TRAIN_PARAMS},
-             "val_fraction": 0.15, "random_state": 0}
 
 
 class _MarbleBase(BaseEstimator):
-    def __init__(self, **params):
-        unknown = sorted(set(params) - set(_DEFAULTS))
-        if unknown:
-            raise TypeError(f"unknown parameter(s): {', '.join(unknown)}")
-        for name, default in _DEFAULTS.items():
-            setattr(self, name, params.get(name, default))
-
-    # keyword-only parameters with TrainConfig's defaults, so get_params
-    # reads them from the signature
-    __init__.__signature__ = inspect.Signature(
-        [inspect.Parameter("self", inspect.Parameter.POSITIONAL_OR_KEYWORD)]
-        + [inspect.Parameter(name, inspect.Parameter.KEYWORD_ONLY,
-                             default=default)
-           for name, default in _DEFAULTS.items()])
+    def __init__(self, *, d_state=TrainConfig.d_state,
+                 epochs=TrainConfig.epochs,
+                 warmup_epochs=TrainConfig.warmup_epochs,
+                 base_lr=TrainConfig.base_lr,
+                 weight_decay=TrainConfig.weight_decay,
+                 drop_alpha=TrainConfig.drop_alpha,
+                 early_stop_patience=TrainConfig.early_stop_patience,
+                 grad_clip=TrainConfig.grad_clip, val_fraction=0.15,
+                 random_state=0):
+        self.d_state = d_state
+        self.epochs = epochs
+        self.warmup_epochs = warmup_epochs
+        self.base_lr = base_lr
+        self.weight_decay = weight_decay
+        self.drop_alpha = drop_alpha
+        self.early_stop_patience = early_stop_patience
+        self.grad_clip = grad_clip
+        self.val_fraction = val_fraction
+        self.random_state = random_state
 
     def _train(self, bags: list[TokenBag], records: list[ManifestRecord],
                task: str, n_classes: int) -> None:

@@ -20,7 +20,8 @@ from . import numerics as nm
 from .errors import ConfigError, DimensionError, FormatError
 from .numerics import Tensor
 from .pyramid import TokenBag
-from .ssmcore import SsmBlockParams, init_ssm_params, ssm_block_forward
+from .ssmcore import (SsmBlockParams, block_shapes, init_ssm_params,
+                      ssm_block_forward)
 
 HEAD_CLASSIFICATION = "classification"
 HEAD_SURVIVAL = "survival"
@@ -95,11 +96,7 @@ class SlideOutput:
 def param_shapes(d_model: int, d_inner: int, d_state: int, n_levels: int,
                  head: str, n_classes: int) -> list[tuple[str, tuple]]:
     """(name, shape) of every parameter, in `named_params` order."""
-    block = [("w_in", (d_model, d_inner)), ("w_gate", (d_model, d_inner)),
-             ("w_delta", (d_inner, d_inner)), ("b_delta", (d_inner,)),
-             ("w_b", (d_inner, d_state)), ("w_c", (d_inner, d_state)),
-             ("a_log", (d_inner,)), ("d_skip", (d_inner,)),
-             ("w_out", (d_inner, d_model))]
+    block = block_shapes(d_model, d_inner, d_state).items()
     out = [(f"block{k}.{name}", shape)
            for k in range(n_levels) for name, shape in block]
     for k in range(1, n_levels):
@@ -114,32 +111,39 @@ def param_shapes(d_model: int, d_inner: int, d_state: int, n_levels: int,
 def init_marble_params(d_model: int, d_inner: int, d_state: int,
                        n_levels: int, head: str, n_classes: int,
                        rng: np.random.Generator) -> MarbleParams:
+    """Uniform weights with bound 1/sqrt(fan-in), zero biases; every shape
+    comes from `param_shapes`."""
     if head not in _HEAD_TAGS:
         raise ConfigError(f"unknown head kind '{head}'")
     if n_levels < 1:
         raise ConfigError("need at least one level")
+    if head == HEAD_CLASSIFICATION and n_classes < 2:
+        raise ConfigError("classification needs at least 2 classes")
+    shapes = dict(param_shapes(d_model, d_inner, d_state, n_levels, head,
+                               n_classes))
+
+    def uniform(name, bound):
+        return Tensor(rng.uniform(-bound, bound, size=shapes[name]),
+                      requires_grad=True)
+
+    def zeros(name):
+        return Tensor(np.zeros(shapes[name]), requires_grad=True)
+
     blocks = [init_ssm_params(d_model, d_inner, d_state, rng)
               for _ in range(n_levels)]
-    bound = 1.0 / np.sqrt(2 * d_model)
-    fuse_w = [Tensor(rng.uniform(-bound, bound, size=(2 * d_model, d_model)),
-                     requires_grad=True) for _ in range(n_levels - 1)]
-    fuse_b = [Tensor(np.zeros(d_model), requires_grad=True)
-              for _ in range(n_levels - 1)]
-    pool_w = Tensor(rng.uniform(-1, 1, size=d_model) / np.sqrt(d_model),
-                    requires_grad=True)
+    fuse_w = [uniform(f"fuse{k}.w", 1.0 / np.sqrt(2 * d_model))
+              for k in range(1, n_levels)]
+    fuse_b = [zeros(f"fuse{k}.b") for k in range(1, n_levels)]
+    pool_w = Tensor(rng.uniform(-1, 1, size=shapes["pool_w"])
+                    / np.sqrt(d_model), requires_grad=True)
     params = MarbleParams(blocks=blocks, fuse_w=fuse_w, fuse_b=fuse_b,
                           pool_w=pool_w, head=head)
     cbound = 1.0 / np.sqrt(d_model)
     if head == HEAD_CLASSIFICATION:
-        if n_classes < 2:
-            raise ConfigError("classification needs at least 2 classes")
-        params.cls_w = Tensor(rng.uniform(-cbound, cbound,
-                                          size=(n_classes, d_model)),
-                              requires_grad=True)
-        params.cls_b = Tensor(np.zeros(n_classes), requires_grad=True)
+        params.cls_w = uniform("cls_w", cbound)
+        params.cls_b = zeros("cls_b")
     else:
-        params.cox_beta = Tensor(rng.uniform(-cbound, cbound, size=d_model),
-                                 requires_grad=True)
+        params.cox_beta = uniform("cox_beta", cbound)
     return params
 
 

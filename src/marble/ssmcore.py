@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,34 +58,37 @@ class SsmBlockParams:
         return self.w_b.shape[1]
 
     def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        return [(prefix + name, getattr(self, name)) for name in
-                ("w_in", "w_gate", "w_delta", "b_delta", "w_b", "w_c",
-                 "a_log", "d_skip", "w_out")]
+        return [(prefix + f.name, getattr(self, f.name)) for f in fields(self)]
 
 
-def _uniform(rng, fan_in, shape):
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+def block_shapes(d_model: int, d_inner: int,
+                 d_state: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each block parameter, in `SsmBlockParams` field order."""
+    return {"w_in": (d_model, d_inner), "w_gate": (d_model, d_inner),
+            "w_delta": (d_inner, d_inner), "b_delta": (d_inner,),
+            "w_b": (d_inner, d_state), "w_c": (d_inner, d_state),
+            "a_log": (d_inner,), "d_skip": (d_inner,),
+            "w_out": (d_inner, d_model)}
 
 
 def init_ssm_params(d_model: int, d_inner: int, d_state: int,
                     rng: np.random.Generator) -> SsmBlockParams:
-    """Conventional stable init: small uniform projections, softplus step
-    size starting in [0.01, 0.1], decay magnitudes log-spaced in [1, N]."""
+    """Conventional stable init: small uniform projections (bound
+    1/sqrt(fan-in)), softplus step size starting in [0.01, 0.1], decay
+    magnitudes log-spaced in [1, N]."""
     dt = np.exp(rng.uniform(np.log(0.01), np.log(0.1), size=d_inner))
-    b_delta = np.log(np.expm1(dt))  # softplus(b_delta) == dt at zero input
     a_mag = np.exp(np.linspace(0.0, np.log(max(d_state, 2)), d_inner))
-    return SsmBlockParams(
-        w_in=_uniform(rng, d_model, (d_model, d_inner)),
-        w_gate=_uniform(rng, d_model, (d_model, d_inner)),
-        w_delta=_uniform(rng, d_inner, (d_inner, d_inner)),
-        b_delta=Tensor(b_delta, requires_grad=True),
-        w_b=_uniform(rng, d_inner, (d_inner, d_state)),
-        w_c=_uniform(rng, d_inner, (d_inner, d_state)),
-        a_log=Tensor(np.log(a_mag), requires_grad=True),
-        d_skip=Tensor(np.ones(d_inner), requires_grad=True),
-        w_out=_uniform(rng, d_inner, (d_inner, d_model)),
-    )
+    fixed = {"b_delta": np.log(np.expm1(dt)),  # softplus(b_delta) == dt
+             "a_log": np.log(a_mag), "d_skip": np.ones(d_inner)}
+
+    def uniform(shape):
+        bound = 1.0 / np.sqrt(shape[0])
+        return rng.uniform(-bound, bound, size=shape)
+
+    return SsmBlockParams(**{
+        name: Tensor(fixed[name] if name in fixed else uniform(shape),
+                     requires_grad=True)
+        for name, shape in block_shapes(d_model, d_inner, d_state).items()})
 
 
 def selective_scan(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,

@@ -321,6 +321,21 @@ class TestManifest:
                 labels = {r.label for r in loaded.split_records(split)}
                 assert labels == {0, 1}, (seed, split)
 
+    def test_missing_split_keeps_class_proportions(self, tmp_path):
+        # 90/10 labels: each split holds about its share of each class,
+        # so train keeps the minority class
+        path = str(tmp_path / "manifest.csv")
+        write_manifest(path, DatasetIndex(task="classification", records=[
+            ManifestRecord(f"s{i}", f"s{i}.bag", label=int(i >= 90))
+            for i in range(100)]))
+        for seed in range(20):
+            loaded = load_manifest(path, split_seed=seed)
+            for split, share in (("train", 0.8), ("val", 0.1),
+                                 ("test", 0.1)):
+                labels = [r.label for r in loaded.split_records(split)]
+                assert abs(labels.count(0) - 90 * share) <= 1, (seed, split)
+                assert abs(labels.count(1) - 10 * share) <= 1, (seed, split)
+
     @pytest.mark.parametrize("n", [7, 20, 37])
     def test_missing_survival_split_is_seeded_80_10_10(self, tmp_path, n):
         # survival records form one group, so the split is the plain
