@@ -6,6 +6,15 @@ classification / Cox-survival heads, trained with a small reverse-mode
 autodiff engine.
 """
 
+import os
+
+# Every matmul here is at most 128 x 128, where extra BLAS threads only
+# spin. Pin one thread unless the user set a count; this takes effect only
+# if numpy has not been imported yet, and child processes inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .bagdata import (DatasetIndex, GeneratedSlide, ManifestRecord, SynthSpec,
                       generate_dataset, generate_slide, load_manifest,
                       read_bag, write_bag, write_manifest)

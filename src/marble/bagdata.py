@@ -230,8 +230,16 @@ def write_bag(bag: TokenBag, path: str) -> None:
 
 
 def read_bag(path: str) -> TokenBag:
+    """Read a bag file; every FormatError names `path`."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse_bag(blob)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _parse_bag(blob: bytes) -> TokenBag:
     off = 0
 
     def need(n, what):

@@ -1,14 +1,17 @@
 """Losses and evaluation metrics.
 
-Cross-entropy and the Cox negative partial log-likelihood (Breslow tie
-handling, optional l2 penalty) are built from differentiable primitives;
-the evaluation metrics (accuracy, AUC, concordance index) are plain
-numpy.
+Cross-entropy is built from differentiable primitives; the Cox negative
+partial log-likelihood (Breslow tie handling, optional l2 penalty) is one
+primitive with a closed-form backward. The descending-time tie-group
+walk that the Cox loss, the concordance index and the Cox training step
+share lives here once. The evaluation metrics (accuracy, AUC,
+concordance index) are plain numpy.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +65,19 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     return nm.add(lse, nm.scale(picked, -1.0))
 
 
+def descending_tie_groups(times) -> list[np.ndarray]:
+    """Subject indices grouped by equal time, latest time first; within a
+    group, input order.
+
+    Walking the groups in this order, every subject seen so far has a
+    time at or after the current group's, so the subjects seen once a
+    group closes are exactly its Breslow at-risk set, ties included.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    order = np.argsort(-t, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(t[order])) + 1)
+
+
 def cox_loss(batch: CoxBatch, lam: float = 0.0,
              theta_sq_norm: Tensor | float = 0.0) -> Tensor:
     """Negative partial log-likelihood with Breslow tie handling.
@@ -70,42 +86,51 @@ def cox_loss(batch: CoxBatch, lam: float = 0.0,
     one denominator). With zero observed events the partial likelihood is
     empty: the penalty alone is returned and a DegenerateCohortWarning is
     issued.
+
+    One primitive. The forward accumulates log-sum-exp of the risks in
+    descending time order and reads it at the end of each tie group k,
+    giving log at-risk sums A_k; with d_k events in group k the loss is
+    sum_k d_k A_k - sum_events r_i. The backward is the closed form
+    dL/dr_j = sum_{k : t_k <= t_j} d_k exp(r_j - A_k) - event_j.
     """
     if lam < 0:
         raise ConfigError(f"penalty weight must be non-negative, got {lam}")
-    times = np.asarray([r.time for r in batch.records])
-    events = [i for i, r in enumerate(batch.records) if r.event]
-    n = len(batch.records)
-
-    if isinstance(theta_sq_norm, Tensor):
-        penalty = nm.scale(theta_sq_norm, lam)
-    else:
-        penalty = Tensor(lam * float(theta_sq_norm))
-
-    if not events:
+    if not isinstance(theta_sq_norm, Tensor):
+        theta_sq_norm = Tensor(float(theta_sq_norm))
+    event = np.array([r.event for r in batch.records], dtype=bool)
+    if not event.any():
         warnings.warn("Cox batch has no observed events; loss is penalty only",
                       DegenerateCohortWarning)
-        return penalty
+        return nm.scale(theta_sq_norm, lam)
 
-    risks2 = nm.reshape(batch.risks, (n, 1))
-    loss: Tensor | None = None
-    for i in events:
-        at_risk = np.nonzero(times >= times[i])[0]
-        sub = nm.gather_rows(risks2, at_risk)
-        shift = float(sub.data.max())
-        lse = nm.add_scalar(
-            nm.log(nm.tsum(nm.exp(nm.add_scalar(sub, -shift)))), shift)
-        r_i = nm.dot(batch.risks, Tensor(np.eye(n)[i]))
-        term = nm.add(lse, nm.scale(r_i, -1.0))
-        loss = term if loss is None else nm.add(loss, term)
-    return nm.add(loss, penalty)
+    r = batch.risks.data
+    groups = descending_tie_groups([rec.time for rec in batch.records])
+    sizes = [len(g) for g in groups]
+    order = np.concatenate(groups)
+    log_at_risk = np.logaddexp.accumulate(r[order])[np.cumsum(sizes) - 1]
+    deaths = np.array([np.count_nonzero(event[g]) for g in groups])
+    value = deaths @ log_at_risk - r[event].sum() + lam * theta_sq_norm.data
+
+    def backward(g):
+        with np.errstate(divide="ignore"):      # log 0 for event-free groups
+            log_w = np.log(deaths) - log_at_risk
+        # log sum of d_k exp(-A_k) over group k and every earlier time
+        log_tail = np.logaddexp.accumulate(log_w[::-1])[::-1]
+        grad_r = np.empty_like(r)
+        grad_r[order] = np.exp(r[order] + np.repeat(log_tail, sizes))
+        return (g * (grad_r - event), g * lam)
+
+    return nm.record_primitive("cox_loss", value, (batch.risks, theta_sq_norm),
+                               backward)
 
 
 def c_index(risks, records: list[SurvivalRecord]) -> float:
     """Concordance over comparable pairs (t_i < t_j, event at i).
 
     Higher risk for the earlier event counts 1, tied risks count 0.5.
-    Pairs with tied times are incomparable and skipped.
+    Pairs with tied times are incomparable and skipped. Walks the tie
+    groups from the latest time down, keeping the risks of the subjects
+    already passed (strictly later times) in a sorted list: O(n) memory.
     """
     r = np.asarray(risks.data if isinstance(risks, Tensor) else risks,
                    dtype=np.float64)
@@ -113,15 +138,21 @@ def c_index(risks, records: list[SurvivalRecord]) -> float:
         raise DimensionError("risks and records must align")
     if len(records) < 2:
         raise UndefinedMetricError("need at least 2 subjects")
-    t = np.asarray([rec.time for rec in records])
-    e = np.asarray([rec.event for rec in records])
-    comparable = (t[:, None] < t[None, :]) & e[:, None]
-    n_pairs = int(comparable.sum())
+    values = r.tolist()
+    later: list[float] = []
+    concordant = tied = n_pairs = 0
+    for group in descending_tie_groups([rec.time for rec in records]):
+        for i in group:
+            if records[i].event:
+                below = bisect_left(later, values[i])
+                concordant += below
+                tied += bisect_right(later, values[i]) - below
+                n_pairs += len(later)
+        for i in group:
+            insort(later, values[i])
     if n_pairs == 0:
         raise UndefinedMetricError("no comparable pairs in cohort")
-    concordant = (r[:, None] > r[None, :]) & comparable
-    tied = (r[:, None] == r[None, :]) & comparable
-    return float((concordant.sum() + 0.5 * tied.sum()) / n_pairs)
+    return float((concordant + 0.5 * tied) / n_pairs)
 
 
 def auc_binary(scores, labels) -> float:

@@ -245,22 +245,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return _finish("dot", np.dot(ad, bd), (a, b), lambda g: (g * bd, g * ad))
 
 
-def stack_scalars(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack scalar tensors into a 1-D vector (differentiable)."""
-    if not tensors:
-        raise DimensionError("stack_scalars: empty input")
-    for t in tensors:
-        if t.data.size != 1:
-            raise DimensionError(f"stack_scalars needs scalars, got shape {t.shape}")
-    data = np.array([float(t.data.reshape(())) for t in tensors])
-
-    def backward(g):
-        return tuple(np.asarray(g[i]).reshape(t.shape)
-                     for i, t in enumerate(tensors))
-
-    return _finish("stack_scalars", data, tuple(tensors), backward)
-
-
 def softmax_1d(v: Tensor) -> Tensor:
     """Numerically stable softmax of a 1-D vector."""
     if v.data.ndim != 1 or v.data.size == 0:

@@ -5,8 +5,10 @@ shuffling), early stopping, and deterministic evaluation.
 
 Classification takes one optimizer step per slide. The Cox partial
 likelihood needs a cohort in its denominators, so survival training
-accumulates per-slide forwards on one tape over a small chunk of slides
-and steps once per chunk; each forward still processes a single slide.
+steps once per chunk of slides. Each slide of the chunk still gets its
+own tape: the step walks the chunk in descending survival time and
+streams the Breslow gradient, so memory is one slide's tape plus three
+parameter-length vectors, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -14,16 +16,16 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics as nm
 from .bagdata import DatasetIndex, ManifestRecord, read_bag
 from .errors import (ConfigError, MarbleError, NumericError,
                      UndefinedMetricError)
 from .metrics import (CoxBatch, accuracy, auc_binary, auc_macro_ovr,
-                      c_index, cox_loss, cross_entropy)
+                      c_index, cox_loss, cross_entropy, descending_tie_groups)
 from .network import (HEAD_CLASSIFICATION, HEAD_SURVIVAL, MarbleParams,
                       encode_slide, init_marble_params)
 from .numerics import Tape, Tensor
@@ -243,31 +245,91 @@ def train(index: DatasetIndex, config: TrainConfig,
                        best_metric=best_metric, reports=reports)
 
 
+@contextmanager
+def _naming(where: str):
+    """Re-raise a MarbleError from the block as the same class, with
+    `where` added; NumericError keeps its op."""
+    try:
+        yield
+    except MarbleError as exc:
+        if isinstance(exc, NumericError):
+            raise NumericError(exc.op, where) from exc
+        raise type(exc)(f"{exc} ({where})") from exc
+
+
 def _step(bags, chunk, params, named, state, lr, config, epoch) -> float:
     """One optimizer step on the slides of `chunk`, already loaded as
     `bags`: cross-entropy on one slide, or the Cox loss on the chunk."""
-    for _, p in named:
-        p.grad = None
-    with Tape() as tape:
-        try:
-            outputs = [encode_slide(bag, params).output for bag in bags]
-            if config.head == HEAD_CLASSIFICATION:
-                loss = cross_entropy(outputs[0], chunk[0].label)
-            else:
-                batch = CoxBatch(nm.stack_scalars(outputs),
-                                 [rec.record for rec in chunk])
-                loss = cox_loss(batch, config.cox_lambda,
-                                params.squared_norm())
-            tape.backward(loss)
-        except MarbleError as exc:
-            where = (f"epoch {epoch}, slide{'s' if len(chunk) > 1 else ''} "
-                     + ",".join(rec.slide_id for rec in chunk))
-            if isinstance(exc, NumericError):
-                raise NumericError(exc.op, where) from exc
-            raise type(exc)(f"{exc} ({where})") from exc
+    if config.head == HEAD_CLASSIFICATION:
+        loss = _slide_backward(bags[0], chunk[0], params, named, epoch,
+                               lambda out: cross_entropy(out, chunk[0].label))
+    else:
+        loss = _cox_gradient(bags, chunk, params, named, config.cox_lambda,
+                             epoch)
     clip_gradients(named, config.grad_clip)
     adamw_step(named, state, lr, (config.beta1, config.beta2),
                config.weight_decay)
+    return loss
+
+
+def _slide_backward(bag, rec, params, named, epoch, head) -> float:
+    """Forward and backward of `head(output)` for one slide on its own
+    tape; leaves its gradient in each parameter's `.grad` and returns its
+    value."""
+    for _, p in named:
+        p.grad = None
+    with _naming(f"epoch {epoch}, slide {rec.slide_id}"), Tape() as tape:
+        value = head(encode_slide(bag, params).output)
+        tape.backward(value)
+    return value.item()
+
+
+def _cox_gradient(bags, chunk, params, named, lam, epoch) -> float:
+    """Write the gradient of the chunk's Cox loss into every parameter's
+    `.grad` and return the loss, holding one slide's tape at a time.
+
+    The loss depends on theta only through the risks r_j. The walk visits
+    the tie groups from the latest time to the earliest and keeps, with
+    m the largest risk so far, S = sum exp(r_j - m) and
+    V = sum exp(r_j - m) dr_j/dtheta over the slides seen, which at a
+    group's close are its Breslow at-risk set. Each event adds
+    -dr_i/dtheta, each group of d events d V / S, and the penalty
+    2 lam theta. Every exponent is <= 0.
+    """
+    records = [rec.record for rec in chunk]
+    risks = np.empty(len(chunk))
+    grad = np.zeros(sum(p.size for _, p in named))       # G
+    weighted = np.zeros_like(grad)                       # V
+    at_risk, top = 0.0, -math.inf                        # S, m
+    for group in descending_tie_groups([r.time for r in records]):
+        deaths = 0
+        for j in group:
+            risks[j] = r = _slide_backward(bags[j], chunk[j], params, named,
+                                           epoch, lambda out: out)
+            d_risk = np.concatenate([
+                np.zeros(p.size) if p.grad is None else p.grad.ravel()
+                for _, p in named])
+            if records[j].event:
+                grad -= d_risk
+                deaths += 1
+            if r > top:
+                rescale = math.exp(top - r)
+                at_risk *= rescale
+                weighted *= rescale
+                top = r
+            w = math.exp(r - top)
+            at_risk += w
+            d_risk *= w
+            weighted += d_risk
+        if deaths:
+            grad += (deaths / at_risk) * weighted
+    theta = np.concatenate([p.data.ravel() for _, p in named])
+    loss = cox_loss(CoxBatch(Tensor(risks), records), lam, theta @ theta)
+    grad += 2.0 * lam * theta
+    offset = 0
+    for _, p in named:
+        p.grad = grad[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
     return loss.item()
 
 
@@ -300,15 +362,16 @@ def check_scorable(split: str, records: list[ManifestRecord],
 def predict(params: MarbleParams, bags) -> np.ndarray:
     """Class probabilities (n, C) or risk scores (n,) for the bags of an
     iterable, in order, with no regularizers."""
-    rows = []
-    for bag in bags:
-        output = encode_slide(bag, params).output.data
-        if params.head == HEAD_SURVIVAL:
-            rows.append(output.item())
-        else:
-            e = np.exp(output - output.max())
-            rows.append(e / e.sum())
-    return np.array(rows)
+    return np.array([_score(params, bag) for bag in bags])
+
+
+def _score(params: MarbleParams, bag: TokenBag):
+    """One slide's class probabilities or risk score."""
+    output = encode_slide(bag, params).output.data
+    if params.head == HEAD_SURVIVAL:
+        return output.item()
+    e = np.exp(output - output.max())
+    return e / e.sum()
 
 
 def evaluate(params: MarbleParams, records: list[ManifestRecord],
@@ -318,8 +381,11 @@ def evaluate(params: MarbleParams, records: list[ManifestRecord],
     if not records:
         raise ConfigError("cannot evaluate on an empty split")
     loader = bag_loader or (lambda record: read_bag(record.path))
-    # a generator, so each slide is loaded just before its forward pass
-    scores = predict(params, (loader(rec) for rec in records))
+    rows = []
+    for rec in records:    # each slide loaded just before its forward pass
+        with _naming(f"slide {rec.slide_id}"):
+            rows.append(_score(params, loader(rec)))
+    scores = np.array(rows)
     metric = _split_metric(params.head, scores, records)
     if params.head == HEAD_CLASSIFICATION:
         labels = np.array([rec.label for rec in records], dtype=int)

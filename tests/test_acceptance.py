@@ -35,7 +35,8 @@ from marble.ssmcore import (AttentionRefParams, attention_ref_forward,
                             reference_scan, scaling_bench, selective_scan,
                             ssm_block_forward)
 from marble.trainer import TrainConfig, derive_seed, evaluate, train
-from tests.test_metrics import brute_force_c_index, brute_force_cox_nll
+from tests.test_metrics import (brute_force_c_index, brute_force_cox_grad,
+                                brute_force_cox_nll)
 
 
 def _grid(level, rows, cols, ratio=None):
@@ -127,13 +128,13 @@ class TestCriterion2ScanOracle:
 
 
 class TestCriterion3CoxOracle:
-    """cox_loss (Breslow ties) and c_index match exhaustive brute-force
-    oracles on 1000 random cohorts of size <= 12."""
+    """cox_loss (Breslow ties), its closed-form dL/dr and c_index match
+    exhaustive brute-force oracles on 1000 random cohorts of size <= 12."""
 
     def test_cox_and_cindex_oracles(self):
         start = time.process_time()
         rng = np.random.default_rng(300)
-        worst_loss = 0.0
+        worst_loss = worst_grad = 0.0
         for trial in range(1000):
             n = int(rng.integers(2, 13))
             risks = rng.normal(size=n)
@@ -144,18 +145,25 @@ class TestCriterion3CoxOracle:
                 events[0] = True
             records = [SurvivalRecord(float(t), bool(e))
                        for t, e in zip(times, events)]
-            got = cox_loss(CoxBatch(Tensor(risks), records)).item()
+            risk_tensor = Tensor(risks, requires_grad=True)
+            with nm.Tape() as tape:
+                loss = cox_loss(CoxBatch(risk_tensor, records))
+                tape.backward(loss)
             expected = brute_force_cox_nll(risks, records)
-            worst_loss = max(worst_loss, abs(got - expected))
+            worst_loss = max(worst_loss, abs(loss.item() - expected))
+            worst_grad = max(worst_grad, float(np.abs(
+                risk_tensor.grad - brute_force_cox_grad(risks, records)).max()))
             comparable = (times[:, None] < times[None, :]) & events[:, None]
             if comparable.any():
                 assert c_index(risks, records) == brute_force_c_index(
                     risks, records)
         elapsed = time.process_time() - start
         assert worst_loss <= 1e-12
+        assert worst_grad <= 1e-12
         assert elapsed < 30.0
         print(f"\ncriterion 3 cox oracle: PASS "
-              f"(max loss diff {worst_loss:.2e}, exact c-index, "
+              f"(max loss diff {worst_loss:.2e}, max dL/dr diff "
+              f"{worst_grad:.2e}, exact c-index, "
               f"{elapsed:.1f}s)")
 
 

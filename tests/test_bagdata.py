@@ -183,6 +183,14 @@ class TestBagFormat:
         with pytest.raises(FormatError, match="truncated at offset"):
             read_bag(path)
 
+    def test_errors_name_the_file(self, tmp_path):
+        path = str(tmp_path / "s00007.bag")
+        write_bag(self._bag(14), path)
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:-10])
+        with pytest.raises(FormatError, match="s00007.bag"):
+            read_bag(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = str(tmp_path / "x.bag")
         write_bag(self._bag(15), path)

@@ -146,6 +146,16 @@ class TestTrain:
         assert main(["train", "--data", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "run")] + FAST) == 3
 
+    def test_truncated_bag_exit_code_names_the_file(self, dataset, tmp_path,
+                                                    capsys):
+        path = os.path.join(dataset, "s00007.bag")
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:-10])
+        manifest = os.path.join(dataset, "manifest.csv")
+        assert main(["train", "--data", manifest,
+                     "--out", str(tmp_path / "run")] + SHORT) == 3
+        assert "s00007.bag: bag file truncated" in capsys.readouterr().err
+
     def test_deterministic_checkpoints(self, dataset, tmp_path):
         manifest = os.path.join(dataset, "manifest.csv")
         out_a = str(tmp_path / "a")

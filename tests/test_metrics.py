@@ -44,6 +44,21 @@ def brute_force_cox_nll(risks, records):
     return total
 
 
+def brute_force_cox_grad(risks, records):
+    """dL/dr of brute_force_cox_nll from its defining sums: each event i
+    adds softmax(r) over its at-risk set and -1 at i."""
+    grad = np.zeros(len(records))
+    times = np.array([r.time for r in records])
+    for i, rec in enumerate(records):
+        if not rec.event:
+            continue
+        at_risk = times >= rec.time
+        w = np.exp(risks[at_risk])
+        grad[at_risk] += w / w.sum()
+        grad[i] -= 1.0
+    return grad
+
+
 class TestCrossEntropy:
 
     def test_matches_direct_softmax(self):
@@ -139,6 +154,17 @@ class TestCoxLoss:
             return cox_loss(CoxBatch(risks, records))
 
         assert nm.finite_diff_check(f, [risks]) < 1e-6
+
+    def test_brute_force_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            risks, records = self._random_batch(rng, int(rng.integers(2, 12)))
+            eps = 1e-6
+            numeric = [(brute_force_cox_nll(risks + eps * e, records)
+                        - brute_force_cox_nll(risks - eps * e, records))
+                       / (2 * eps) for e in np.eye(len(risks))]
+            np.testing.assert_allclose(brute_force_cox_grad(risks, records),
+                                       numeric, atol=1e-7)
 
     def test_penalty_term(self):
         risks = np.array([0.5, -0.5])

@@ -87,14 +87,6 @@ class TestElementwise:
                   lambda: nm.dot(nm.reshape(a, (6,)), nm.reshape(b, (6,)))):
             assert nm.finite_diff_check(f, [a, b, bias]) < 1e-6
 
-    def test_stack_scalars(self):
-        xs = [Tensor(float(i), requires_grad=True) for i in range(3)]
-        with Tape() as tape:
-            v = nm.stack_scalars(xs)
-            tape.backward(nm.dot(v, Tensor([1.0, 2.0, 3.0])))
-        assert np.array_equal(v.data, [0.0, 1.0, 2.0])
-        assert [x.grad.reshape(()).item() for x in xs] == [1.0, 2.0, 3.0]
-
 
 class TestSoftmax:
     def test_symmetry(self):
