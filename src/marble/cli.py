@@ -151,13 +151,25 @@ def _load_index(manifest_path: str, seed: int) -> tuple[DatasetIndex, str]:
     return index, os.path.dirname(os.path.abspath(manifest_path))
 
 
-def _bag_loader(base_dir: str):
+def _bag_loader(index: DatasetIndex, base_dir: str):
+    """A loader of the manifest's bags, and its first bag: the probe that
+    gives the model its shape. A bag whose level count or width differs
+    from the probe's is a data error naming its file."""
+    def read(record: ManifestRecord):
+        # os.path.join keeps a manifest path that is already absolute
+        bag = read_bag(os.path.join(base_dir, record.path))
+        return bag, (bag.n_levels, bag.levels[0].embeddings.shape[1])
+
+    probe, want = read(index.records[0])
+
     def load(record: ManifestRecord):
-        path = record.path
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        return read_bag(path)
-    return load
+        bag, got = read(record)
+        if got != want:
+            raise FormatError(f"{record.path}: {got[0]} levels of width "
+                              f"{got[1]}, but {index.records[0].path} has "
+                              f"{want[0]} of width {want[1]}")
+        return bag
+    return load, probe
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -194,9 +206,8 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_once(index: DatasetIndex, base_dir: str, tconf: TrainConfig,
+def _train_once(index: DatasetIndex, loader, tconf: TrainConfig,
                 out_dir: str) -> tuple[TrainResult, dict]:
-    loader = _bag_loader(base_dir)
     result = train(index, tconf, bag_loader=loader)
     _write_csv(os.path.join(out_dir, "epochs.csv"),
                ["epoch", "lr", "train_loss", "val_metric", "best_so_far",
@@ -214,7 +225,8 @@ def _train_once(index: DatasetIndex, base_dir: str, tconf: TrainConfig,
 def cmd_train(args) -> int:
     config = load_run_config(args.config, args.set or [])
     index, base_dir = _load_index(args.data, config.seed)
-    base = config.train_config(index, _bag_loader(base_dir)(index.records[0]))
+    loader, probe = _bag_loader(index, base_dir)
+    base = config.train_config(index, probe)
     test_recs = index.split_records("test")
     if test_recs:
         check_scorable("test", test_recs, base)
@@ -228,7 +240,7 @@ def cmd_train(args) -> int:
             rep_dir = out_dir if config.repeats == 1 \
                 else os.path.join(out_dir, f"run{rep}")
             os.makedirs(rep_dir, exist_ok=True)
-            result, report = _train_once(index, base_dir, tconf, rep_dir)
+            result, report = _train_once(index, loader, tconf, rep_dir)
             metric_name = METRIC[index.task]
             test_metric = report.get(metric_name, float("nan"))
             rows.append([rep, seed, result.best_epoch,
@@ -252,8 +264,8 @@ def cmd_sweep_alpha(args) -> int:
         if not 0.0 <= alpha < 1.0:
             raise ConfigError(f"grid value {alpha} outside [0, 1)")
     index, base_dir = _load_index(args.data, config.seed)
-    loader = _bag_loader(base_dir)
-    base = config.train_config(index, loader(index.records[0]))
+    loader, probe = _bag_loader(index, base_dir)
+    base = config.train_config(index, probe)
     metric_name = METRIC[index.task]
     with _RunDir(args.out, force=args.force) as out_dir:
         echo_config(config, out_dir)
@@ -277,8 +289,7 @@ def cmd_sweep_alpha(args) -> int:
 def cmd_ablate_scales(args) -> int:
     config = load_run_config(args.config, args.set or [])
     index, base_dir = _load_index(args.data, config.seed)
-    loader = _bag_loader(base_dir)
-    probe = loader(index.records[0])
+    loader, probe = _bag_loader(index, base_dir)
     if probe.n_levels < 2:
         raise ConfigError("ablate-scales needs a dataset with at least 2 levels")
     finest = probe.n_levels - 1

@@ -32,18 +32,45 @@ CHECKPOINT_MAGIC = b"MRBL"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
 class MarbleParams:
-    """All trainable parameters of one model instance."""
+    """All trainable parameters of one model instance, in one float64
+    vector `theta` laid out by `param_shapes`, with their gradient in
+    `grad`. Every named parameter is a `Tensor` whose `.data` and `.grad`
+    are views into the two; rebinding either would detach it."""
 
-    blocks: list[SsmBlockParams]          # one per level, coarsest first
-    fuse_w: list[Tensor]                  # (2D, D) per level k >= 1
-    fuse_b: list[Tensor]                  # (D,) per level k >= 1
-    pool_w: Tensor                        # (D,)
-    head: str                             # "classification" | "survival"
-    cls_w: Tensor | None = None           # (C, D)
-    cls_b: Tensor | None = None           # (C,)
-    cox_beta: Tensor | None = None        # (D,)
+    def __init__(self, d_model: int, d_inner: int, d_state: int,
+                 n_levels: int, head: str, n_classes: int,
+                 theta: np.ndarray | None = None):
+        if head not in _HEAD_TAGS:
+            raise ConfigError(f"unknown head kind '{head}'")
+        if n_levels < 1:
+            raise ConfigError("need at least one level")
+        if head == HEAD_CLASSIFICATION and n_classes < 2:
+            raise ConfigError("classification needs at least 2 classes")
+        shapes = param_shapes(d_model, d_inner, d_state, n_levels, head,
+                              n_classes)
+        cuts = np.cumsum([math.prod(shape) for _, shape in shapes])
+        self.head = head
+        self.grad = np.zeros(cuts[-1])
+        self.theta = np.zeros(cuts[-1]) if theta is None else theta
+        self._named: list[tuple[str, Tensor]] = []
+        for (name, shape), data, grad in zip(
+                shapes, np.split(self.theta, cuts[:-1]),
+                np.split(self.grad, cuts[:-1])):
+            tensor = Tensor(data.reshape(shape), requires_grad=True)
+            tensor.grad = grad.reshape(shape)
+            self._named.append((name, tensor))
+        named = dict(self._named)
+        block = block_shapes(d_model, d_inner, d_state)
+        self.blocks = [SsmBlockParams(**{f: named[f"block{k}.{f}"]
+                                         for f in block})
+                       for k in range(n_levels)]     # coarsest first
+        self.fuse_w = [named[f"fuse{k}.w"] for k in range(1, n_levels)]
+        self.fuse_b = [named[f"fuse{k}.b"] for k in range(1, n_levels)]
+        self.pool_w = named["pool_w"]
+        self.cls_w = named.get("cls_w")         # classification only
+        self.cls_b = named.get("cls_b")
+        self.cox_beta = named.get("cox_beta")   # survival only
 
     @property
     def d_model(self) -> int:
@@ -58,29 +85,23 @@ class MarbleParams:
         return 0 if self.cls_w is None else self.cls_w.shape[0]
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for k, block in enumerate(self.blocks):
-            out.extend(block.named(prefix=f"block{k}."))
-        for k, (w, b) in enumerate(zip(self.fuse_w, self.fuse_b), start=1):
-            out.append((f"fuse{k}.w", w))
-            out.append((f"fuse{k}.b", b))
-        out.append(("pool_w", self.pool_w))
-        if self.head == HEAD_CLASSIFICATION:
-            out.append(("cls_w", self.cls_w))
-            out.append(("cls_b", self.cls_b))
-        else:
-            out.append(("cox_beta", self.cox_beta))
-        return out
+        """(name, tensor) of every parameter, in `param_shapes` order."""
+        return list(self._named)
+
+    def copy(self) -> MarbleParams:
+        """An independent model with the same parameter values."""
+        block = self.blocks[0]
+        return MarbleParams(self.d_model, block.d_inner, block.d_state,
+                            self.n_levels, self.head, self.n_classes,
+                            theta=self.theta.copy())
 
     def squared_norm(self) -> Tensor:
         """Sum of squares over every trainable parameter (for the l2
         penalty of the survival loss)."""
-        total = None
-        for _, p in self.named_params():
-            flat = nm.reshape(p, (p.size,))
-            term = nm.dot(flat, flat)
-            total = term if total is None else nm.add(total, term)
-        return total
+        leaves = [p for _, p in self._named]
+        return nm.record_primitive(
+            "squared_norm", self.theta @ self.theta, leaves,
+            lambda g: [2.0 * g * p.data for p in leaves])
 
 
 @dataclass
@@ -95,7 +116,8 @@ class SlideOutput:
 
 def param_shapes(d_model: int, d_inner: int, d_state: int, n_levels: int,
                  head: str, n_classes: int) -> list[tuple[str, tuple]]:
-    """(name, shape) of every parameter, in `named_params` order."""
+    """(name, shape) of every parameter, in the order `MarbleParams` lays
+    them out in `theta`."""
     block = block_shapes(d_model, d_inner, d_state).items()
     out = [(f"block{k}.{name}", shape)
            for k in range(n_levels) for name, shape in block]
@@ -113,37 +135,22 @@ def init_marble_params(d_model: int, d_inner: int, d_state: int,
                        rng: np.random.Generator) -> MarbleParams:
     """Uniform weights with bound 1/sqrt(fan-in), zero biases; every shape
     comes from `param_shapes`."""
-    if head not in _HEAD_TAGS:
-        raise ConfigError(f"unknown head kind '{head}'")
-    if n_levels < 1:
-        raise ConfigError("need at least one level")
-    if head == HEAD_CLASSIFICATION and n_classes < 2:
-        raise ConfigError("classification needs at least 2 classes")
-    shapes = dict(param_shapes(d_model, d_inner, d_state, n_levels, head,
-                               n_classes))
+    params = MarbleParams(d_model, d_inner, d_state, n_levels, head,
+                          n_classes)
 
-    def uniform(name, bound):
-        return Tensor(rng.uniform(-bound, bound, size=shapes[name]),
-                      requires_grad=True)
+    def uniform(tensor, bound):
+        tensor.data[...] = rng.uniform(-bound, bound, size=tensor.shape)
 
-    def zeros(name):
-        return Tensor(np.zeros(shapes[name]), requires_grad=True)
-
-    blocks = [init_ssm_params(d_model, d_inner, d_state, rng)
-              for _ in range(n_levels)]
-    fuse_w = [uniform(f"fuse{k}.w", 1.0 / np.sqrt(2 * d_model))
-              for k in range(1, n_levels)]
-    fuse_b = [zeros(f"fuse{k}.b") for k in range(1, n_levels)]
-    pool_w = Tensor(rng.uniform(-1, 1, size=shapes["pool_w"])
-                    / np.sqrt(d_model), requires_grad=True)
-    params = MarbleParams(blocks=blocks, fuse_w=fuse_w, fuse_b=fuse_b,
-                          pool_w=pool_w, head=head)
-    cbound = 1.0 / np.sqrt(d_model)
-    if head == HEAD_CLASSIFICATION:
-        params.cls_w = uniform("cls_w", cbound)
-        params.cls_b = zeros("cls_b")
-    else:
-        params.cox_beta = uniform("cox_beta", cbound)
+    for block in params.blocks:
+        fresh = init_ssm_params(d_model, d_inner, d_state, rng)
+        for (_, view), (_, value) in zip(block.named(), fresh.named()):
+            view.data[...] = value.data
+    for fuse_w in params.fuse_w:
+        uniform(fuse_w, 1.0 / np.sqrt(2 * d_model))
+    params.pool_w.data[...] = (rng.uniform(-1, 1, size=d_model)
+                               / np.sqrt(d_model))
+    uniform(params.cls_w if head == HEAD_CLASSIFICATION else params.cox_beta,
+            1.0 / np.sqrt(d_model))
     return params
 
 
@@ -289,13 +296,13 @@ def load_checkpoint(path: str) -> MarbleParams:
             if records[name][0] != shape:
                 raise FormatError(f"parameter '{name}' has shape "
                                   f"{records[name][0]}, expected {shape}")
-        params = init_marble_params(d_model, d_inner, d_state, n_levels, head,
-                                    n_classes, np.random.default_rng(0))
+        params = MarbleParams(d_model, d_inner, d_state, n_levels, head,
+                              n_classes)
     except (KeyError, IndexError, ValueError, ConfigError) as exc:
         raise FormatError(f"checkpoint dimensions unreadable: {exc!r}") from exc
     for name, tensor in params.named_params():
         shape, payload = records[name]
-        tensor.data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        tensor.data[...] = np.frombuffer(payload, dtype="<f8").reshape(shape)
         if not np.isfinite(tensor.data).all():
             raise FormatError(f"parameter '{name}' has non-finite values")
     return params

@@ -69,7 +69,8 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> None:
-        """Reverse sweep from a scalar loss; writes `.grad` on leaves."""
+        """Reverse sweep from a scalar loss; writes `.grad` on leaves, in
+        place where a leaf already has a `.grad` array."""
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -90,8 +91,10 @@ class Tape:
                     holders[key] = tensor
         for key, g in grads.items():
             tensor = holders[key]
-            if tensor.requires_grad:
-                tensor.grad = g
+            if tensor.requires_grad and tensor.grad is not None:
+                tensor.grad[...] = g      # e.g. a view into MarbleParams.grad
+            elif tensor.requires_grad:    # a copy: one array may feed two leaves
+                tensor.grad = g.copy()
 
 
 def active_tape() -> Tape | None:
@@ -158,7 +161,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
+    with np.errstate(over="ignore"):   # inf is caught by _finish
+        out = np.exp(a.data)
     return _finish("exp", out, (a,), lambda g: (g * out,))
 
 
@@ -273,7 +277,8 @@ def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     if eps <= 0:
         raise DomainError("finite_diff_check: eps must be positive")
     for p in params:
-        p.grad = None
+        if p.grad is not None:
+            p.grad.fill(0.0)    # in place: it may be a view into a model's grad
     with Tape() as tape:
         loss = f()
         tape.backward(loss)

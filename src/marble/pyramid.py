@@ -129,19 +129,18 @@ def build_bag(grids: list[LevelGrid], embeddings: list[np.ndarray]) -> TokenBag:
 def _cascade(bag: TokenBag, keep0: np.ndarray) -> TokenBag:
     """Rebuild a bag keeping only level-0 indices in keep0 (+descendants)."""
     out: list[BagLevel] = []
-    keep = np.sort(keep0)
-    remap = {old: new for new, old in enumerate(keep.tolist())}
-    lv0 = bag.levels[0]
-    out.append(BagLevel(lv0.embeddings[keep].copy(), lv0.coords[keep].copy(),
-                        None, lv0.ratio))
-    for lv in bag.levels[1:]:
-        mask = np.asarray([p in remap for p in lv.parents.tolist()])
-        idx = np.nonzero(mask)[0]
-        new_parents = np.asarray([remap[p] for p in lv.parents[idx].tolist()],
-                                 dtype=np.int64)
+    idx = np.sort(keep0)
+    remap = None    # previous level's old index -> new index, -1 if dropped
+    for lv in bag.levels:
+        parents = None
+        if remap is not None:
+            mapped = remap[lv.parents]
+            idx = np.nonzero(mapped >= 0)[0]
+            parents = mapped[idx]
         out.append(BagLevel(lv.embeddings[idx].copy(), lv.coords[idx].copy(),
-                            new_parents, lv.ratio))
-        remap = {old: new for new, old in enumerate(idx.tolist())}
+                            parents, lv.ratio))
+        remap = np.full(lv.count, -1, dtype=np.int64)
+        remap[idx] = np.arange(idx.size)
     return TokenBag(levels=out)
 
 

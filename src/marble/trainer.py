@@ -13,11 +13,10 @@ parameter-length vectors, whatever the chunk size.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,55 +72,53 @@ class TrainConfig:
             raise ConfigError("warmup_epochs must be smaller than epochs")
         if self.head not in (HEAD_CLASSIFICATION, HEAD_SURVIVAL):
             raise ConfigError(f"unknown head '{self.head}'")
+        if self.cox_chunk < 1:
+            raise ConfigError(f"cox_chunk must be at least 1, got {self.cox_chunk}")
+        if self.cox_lambda < 0:
+            raise ConfigError(f"cox_lambda must be non-negative, got {self.cox_lambda}")
         if self.d_inner == 0:
             self.d_inner = 2 * self.d_model
 
 
-@dataclass
 class OptimizerState:
-    """AdamW moments, one pair of arrays per parameter name."""
+    """AdamW moments and two work arrays, all of the parameter count."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.work = np.empty((2, size))
+        self.step = 0
 
 
-def adamw_step(named_params: list[tuple[str, Tensor]], state: OptimizerState,
+def adamw_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState,
                lr: float, betas=(0.9, 0.999), weight_decay: float = 1e-2,
                eps: float = 1e-8) -> None:
-    """One decoupled-weight-decay Adam update; missing grads count as 0."""
+    """One decoupled-weight-decay Adam update of `theta` in place:
+    theta - lr m_hat / (sqrt(v_hat) + eps) - lr wd theta."""
     if lr < 0:
         raise ConfigError("learning rate must be non-negative")
     b1, b2 = betas
     state.step += 1
     t = state.step
-    for name, p in named_params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ConfigError(f"gradient shape mismatch for '{name}'")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m[...] = b1 * m + (1 - b1) * g
-        v[...] = b2 * v + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps) \
-            - lr * weight_decay * p.data
+    m, v, (a, b) = state.m, state.v, state.work
+    m *= b1
+    m += np.multiply(grad, 1 - b1, out=a)
+    v *= b2
+    v += np.multiply(np.multiply(grad, 1 - b2, out=a), grad, out=a)
+    np.multiply(np.divide(m, 1 - b1 ** t, out=a), lr, out=a)      # lr m_hat
+    np.add(np.sqrt(np.divide(v, 1 - b2 ** t, out=b), out=b), eps, out=b)
+    a /= b
+    np.multiply(theta, lr * weight_decay, out=b)
+    theta -= a
+    theta -= b
 
 
-def clip_gradients(named_params: list[tuple[str, Tensor]],
-                   max_norm: float) -> float:
-    """Scale all grads so their global l2 norm is at most max_norm."""
-    total = 0.0
-    for _, p in named_params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    norm = math.sqrt(total)
+def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
+    """Scale `grad` in place so its l2 norm is at most max_norm; returns
+    the norm before clipping."""
+    norm = math.sqrt(float(grad @ grad))
     if max_norm > 0 and norm > max_norm:
-        factor = max_norm / norm
-        for _, p in named_params:
-            if p.grad is not None:
-                p.grad = p.grad * factor
+        grad *= max_norm / norm
     return norm
 
 
@@ -198,8 +195,7 @@ def train(index: DatasetIndex, config: TrainConfig,
             config.d_model, config.d_inner, config.d_state, config.n_levels,
             config.head, config.n_classes,
             np.random.default_rng(derive_seed(config.seed, "init")))
-    named = params.named_params()
-    state = OptimizerState()
+    state = OptimizerState(params.theta.size)
     order_rng = np.random.default_rng(derive_seed(config.seed, "order"))
     step = 1 if config.head == HEAD_CLASSIFICATION else config.cox_chunk
 
@@ -220,8 +216,8 @@ def train(index: DatasetIndex, config: TrainConfig,
                 derive_seed(config.seed, f"drop:{epoch}:{start + j}"),
                 derive_seed(config.seed, f"shuffle:{epoch}:{start + j}"))
                 for j, rec in enumerate(chunk)]
-            losses.append(_step(bags, chunk, params, named, state, lr,
-                                config, epoch))
+            losses.append(_step(bags, chunk, params, state, lr, config,
+                                epoch))
         train_loss = float(np.mean(losses)) if losses else 0.0
 
         val_metric = evaluate(params, val_recs,
@@ -230,7 +226,7 @@ def train(index: DatasetIndex, config: TrainConfig,
         if improved:
             best_metric = val_metric
             best_epoch = epoch
-            best_params = copy.deepcopy(params)
+            best_params = params.copy()
             stagnant = 0
         else:
             stagnant += 1
@@ -257,36 +253,33 @@ def _naming(where: str):
         raise type(exc)(f"{exc} ({where})") from exc
 
 
-def _step(bags, chunk, params, named, state, lr, config, epoch) -> float:
+def _step(bags, chunk, params, state, lr, config, epoch) -> float:
     """One optimizer step on the slides of `chunk`, already loaded as
     `bags`: cross-entropy on one slide, or the Cox loss on the chunk."""
     if config.head == HEAD_CLASSIFICATION:
-        loss = _slide_backward(bags[0], chunk[0], params, named, epoch,
+        loss = _slide_backward(bags[0], chunk[0], params, epoch,
                                lambda out: cross_entropy(out, chunk[0].label))
     else:
-        loss = _cox_gradient(bags, chunk, params, named, config.cox_lambda,
-                             epoch)
-    clip_gradients(named, config.grad_clip)
-    adamw_step(named, state, lr, (config.beta1, config.beta2),
-               config.weight_decay)
+        loss = _cox_gradient(bags, chunk, params, config.cox_lambda, epoch)
+    clip_gradients(params.grad, config.grad_clip)
+    adamw_step(params.theta, params.grad, state, lr,
+               (config.beta1, config.beta2), config.weight_decay)
     return loss
 
 
-def _slide_backward(bag, rec, params, named, epoch, head) -> float:
+def _slide_backward(bag, rec, params, epoch, head) -> float:
     """Forward and backward of `head(output)` for one slide on its own
-    tape; leaves its gradient in each parameter's `.grad` and returns its
-    value."""
-    for _, p in named:
-        p.grad = None
+    tape; leaves its gradient in `params.grad` and returns its value."""
+    params.grad.fill(0.0)
     with _naming(f"epoch {epoch}, slide {rec.slide_id}"), Tape() as tape:
         value = head(encode_slide(bag, params).output)
         tape.backward(value)
     return value.item()
 
 
-def _cox_gradient(bags, chunk, params, named, lam, epoch) -> float:
-    """Write the gradient of the chunk's Cox loss into every parameter's
-    `.grad` and return the loss, holding one slide's tape at a time.
+def _cox_gradient(bags, chunk, params, lam, epoch) -> float:
+    """Write the gradient of the chunk's Cox loss into `params.grad` and
+    return the loss, holding one slide's tape at a time.
 
     The loss depends on theta only through the risks r_j. The walk visits
     the tie groups from the latest time to the earliest and keeps, with
@@ -298,17 +291,15 @@ def _cox_gradient(bags, chunk, params, named, lam, epoch) -> float:
     """
     records = [rec.record for rec in chunk]
     risks = np.empty(len(chunk))
-    grad = np.zeros(sum(p.size for _, p in named))       # G
+    d_risk = params.grad             # dr_j/dtheta, rewritten for each slide
+    grad = np.zeros_like(d_risk)                         # G
     weighted = np.zeros_like(grad)                       # V
     at_risk, top = 0.0, -math.inf                        # S, m
     for group in descending_tie_groups([r.time for r in records]):
         deaths = 0
         for j in group:
-            risks[j] = r = _slide_backward(bags[j], chunk[j], params, named,
-                                           epoch, lambda out: out)
-            d_risk = np.concatenate([
-                np.zeros(p.size) if p.grad is None else p.grad.ravel()
-                for _, p in named])
+            risks[j] = r = _slide_backward(bags[j], chunk[j], params, epoch,
+                                           lambda out: out)
             if records[j].event:
                 grad -= d_risk
                 deaths += 1
@@ -323,13 +314,10 @@ def _cox_gradient(bags, chunk, params, named, lam, epoch) -> float:
             weighted += d_risk
         if deaths:
             grad += (deaths / at_risk) * weighted
-    theta = np.concatenate([p.data.ravel() for _, p in named])
+    theta = params.theta
     loss = cox_loss(CoxBatch(Tensor(risks), records), lam, theta @ theta)
     grad += 2.0 * lam * theta
-    offset = 0
-    for _, p in named:
-        p.grad = grad[offset:offset + p.size].reshape(p.shape)
-        offset += p.size
+    params.grad[...] = grad
     return loss.item()
 
 

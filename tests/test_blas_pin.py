@@ -1,4 +1,5 @@
-"""`import marble` pins BLAS to one thread unless the user chose a count.
+"""`import marble` pins BLAS to one thread unless the user chose a count,
+and on glibc keeps freed heap memory instead of returning it to the OS.
 
 Each case runs in a fresh interpreter with the thread variables removed
 from its environment, because the pin only works if numpy has not been
@@ -45,3 +46,19 @@ def test_process_runs_one_thread():
                     "    if line.startswith('Threads:'):\n"
                     "        print(line.split()[1])")
     assert out == ["1"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="glibc allocator and page-fault counters")
+def test_freed_arrays_are_reused_without_page_faults():
+    # two 4.8 MB arrays, freed and allocated again: with glibc's defaults
+    # they are mapped fresh each time and fault in about 1,300 pages
+    out = run_fresh("import resource, marble, numpy\n"
+                    "faults = []\n"
+                    "for _ in range(4):\n"
+                    "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                    "    a, b = numpy.ones(600_000), numpy.ones(600_000)\n"
+                    "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+                    "    del a, b\n"
+                    "print(*faults)")
+    assert all(int(n) < 100 for n in out[1:]), out

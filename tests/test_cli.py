@@ -7,13 +7,16 @@ epoch counts to keep the suite fast.
 
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from marble.bagdata import read_bag, write_bag
 from marble.cli import RunConfig, load_run_config, main
 from marble.errors import ConfigError
 from marble.network import load_checkpoint
+from marble.pyramid import TokenBag
 
 FAST = [
     "--set", "n_slides=20", "--set", "dim=8", "--set", "coarse_rows=3",
@@ -155,6 +158,32 @@ class TestTrain:
         assert main(["train", "--data", manifest,
                      "--out", str(tmp_path / "run")] + SHORT) == 3
         assert "s00007.bag: bag file truncated" in capsys.readouterr().err
+
+    def test_bag_unlike_the_probe_exit_code_names_the_file(self, dataset,
+                                                            tmp_path, capsys):
+        path = os.path.join(dataset, "s00005.bag")
+        bag = read_bag(path)
+        write_bag(TokenBag([replace(lv, embeddings=lv.embeddings[:, :6].copy())
+                            for lv in bag.levels]), path)
+        manifest = os.path.join(dataset, "manifest.csv")
+        assert main(["train", "--data", manifest,
+                     "--out", str(tmp_path / "run")] + SHORT) == 3
+        err = capsys.readouterr().err
+        assert "s00005.bag: 2 levels of width 6" in err
+        assert "s00000.bag has 2 of width 8" in err
+
+    @pytest.mark.parametrize("setting", ["cox_chunk=0", "cox_lambda=-0.1"])
+    def test_bad_cox_setting_exits_before_training(self, tmp_path, capsys,
+                                                    setting):
+        data = str(tmp_path / "data")
+        assert main(["gen-data", "--out", data, "--set", "task=survival",
+                     "--set", "n_slides=40", "--set", "dim=8",
+                     "--set", "coarse_rows=3", "--set", "coarse_cols=3"]) == 0
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", os.path.join(data, "manifest.csv"),
+                     "--out", out, "--set", setting] + SHORT) == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_deterministic_checkpoints(self, dataset, tmp_path):
         manifest = os.path.join(dataset, "manifest.csv")

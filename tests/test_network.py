@@ -85,6 +85,74 @@ class TestInit:
                                                            rel=1e-12)
 
 
+class TestLayout:
+    """Every parameter is a view into the model's flat theta/grad pair."""
+
+    @pytest.mark.parametrize("levels,head,n_classes", [
+        (1, HEAD_SURVIVAL, 2), (3, HEAD_CLASSIFICATION, 4),
+    ])
+    def test_views_sit_at_param_shapes_offsets(self, levels, head, n_classes):
+        params = init_marble_params(8, 12, 4, levels, head, n_classes,
+                                    np.random.default_rng(4))
+        offset = 0
+        for (name, shape), (got, p) in zip(
+                param_shapes(8, 12, 4, levels, head, n_classes),
+                params.named_params(), strict=True):
+            size = int(np.prod(shape))
+            assert got == name and p.shape == shape
+            for view, flat in ((p.data, params.theta), (p.grad, params.grad)):
+                assert np.shares_memory(view, flat)
+                np.testing.assert_array_equal(
+                    view.ravel(), flat[offset:offset + size])
+            p.data[...] = -1.0 - offset       # a write shows in the vector
+            assert np.all(params.theta[offset:offset + size] == -1.0 - offset)
+            offset += size
+        assert offset == params.theta.size == params.grad.size
+
+    def test_copy_is_independent(self):
+        params = init_marble_params(8, 16, 4, 2, HEAD_CLASSIFICATION, 3,
+                                    np.random.default_rng(5))
+        twin = params.copy()
+        np.testing.assert_array_equal(twin.theta, params.theta)
+        assert not np.shares_memory(twin.theta, params.theta)
+        assert (twin.head, twin.n_classes) == (params.head, params.n_classes)
+        before = params.theta.copy()
+        twin.pool_w.data[...] = 0.0
+        twin.grad[...] = 1.0
+        np.testing.assert_array_equal(params.theta, before)
+        assert not params.grad.any()
+        assert not twin.pool_w.data.any()
+
+    def test_views_survive_finite_diff_check(self):
+        rng = np.random.default_rng(6)
+        bag = small_bag(rng, levels=1)
+        params = init_marble_params(8, 16, 4, 1, HEAD_SURVIVAL, 2, rng)
+        leaves = [p for _, p in params.named_params()]
+        params.grad[...] = 7.0                # stale values are cleared
+
+        def f():
+            return encode_slide(bag, params).output
+
+        assert nm.finite_diff_check(f, leaves[-2:], eps=3e-4) < 1e-4
+        for p in leaves:
+            assert np.shares_memory(p.data, params.theta)
+            assert np.shares_memory(p.grad, params.grad)
+        assert not np.any(params.grad == 7.0)
+        assert np.any(params.cox_beta.grad != 0.0)
+
+    def test_backward_writes_into_the_flat_grad(self):
+        rng = np.random.default_rng(8)
+        bag = small_bag(rng)
+        params = init_marble_params(8, 16, 4, 2, HEAD_CLASSIFICATION, 2, rng)
+        with Tape() as tape:
+            out = encode_slide(bag, params).output
+            tape.backward(nm.dot(out, Tensor(np.array([1.0, -1.0]))))
+        flat = np.concatenate([p.grad.ravel()
+                               for _, p in params.named_params()])
+        np.testing.assert_array_equal(flat, params.grad)
+        assert params.grad.any()
+
+
 class TestFusionAndPooling:
 
     def test_fuse_gathers_parent_rows(self):

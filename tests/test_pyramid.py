@@ -106,6 +106,41 @@ class TestCoarseBranchDrop:
         out = coarse_branch_drop(bag, 0.9, rng_seed=0)
         assert out.levels[0].count == 1
 
+    def test_matches_per_token_reference(self):
+        # the kept tokens, their order and their remapped parents equal a
+        # per-token dict walk down the levels
+        def reference(bag, keep0):
+            keep = np.sort(keep0)
+            remap = {old: new for new, old in enumerate(keep.tolist())}
+            lv0 = bag.levels[0]
+            out = [(lv0.embeddings[keep], lv0.coords[keep], None)]
+            for lv in bag.levels[1:]:
+                idx = np.array([i for i, p in enumerate(lv.parents.tolist())
+                                if p in remap], dtype=np.int64)
+                parents = np.array([remap[p] for p in lv.parents[idx].tolist()],
+                                   dtype=np.int64)
+                out.append((lv.embeddings[idx], lv.coords[idx], parents))
+                remap = {old: new for new, old in enumerate(idx.tolist())}
+            return out
+
+        rng = np.random.default_rng(6)
+        for seed in range(12):
+            bag = shuffle_within_levels(
+                make_bag(rng, t0=9, children_per_parent=3, levels=3), seed)
+            alpha = (0.1, 0.5, 0.9)[seed % 3]
+            out = coarse_branch_drop(bag, alpha, rng_seed=seed)
+            dropped = np.random.default_rng(seed).choice(
+                9, size=min(int(np.ceil(alpha * 9)), 8), replace=False)
+            want = reference(bag, np.setdiff1d(np.arange(9), dropped))
+            for lv, (emb, coords, parents) in zip(out.levels, want, strict=True):
+                assert np.array_equal(lv.embeddings, emb)
+                assert np.array_equal(lv.coords, coords)
+                if parents is None:
+                    assert lv.parents is None
+                else:
+                    assert lv.parents.dtype == np.int64
+                    assert np.array_equal(lv.parents, parents)
+
     @pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5])
     def test_bad_alpha(self, alpha):
         bag = make_bag(np.random.default_rng(5))

@@ -59,68 +59,54 @@ class TestAdamW:
 
     def test_single_step_closed_form(self):
         rng = np.random.default_rng(0)
-        p = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        g = rng.normal(size=(3, 2))
-        p.grad = g.copy()
-        start = p.data.copy()
+        theta = rng.normal(size=6)
+        g = rng.normal(size=6)
+        start = theta.copy()
         lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
-        adamw_step([("p", p)], OptimizerState(), lr, (b1, b2), wd)
+        adamw_step(theta, g, OptimizerState(6), lr, (b1, b2), wd)
         m_hat = (1 - b1) * g / (1 - b1)
         v_hat = (1 - b2) * g * g / (1 - b2)
         expected = start - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * start
-        np.testing.assert_allclose(p.data, expected, atol=1e-14)
+        np.testing.assert_allclose(theta, expected, atol=1e-14)
 
     def test_decay_is_decoupled(self):
         # zero gradient still shrinks the parameter by lr * wd * p
-        p = Tensor(np.array([2.0]), requires_grad=True)
-        p.grad = np.array([0.0])
-        adamw_step([("p", p)], OptimizerState(), 0.1, (0.9, 0.999), 0.5)
-        assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
-
-    def test_missing_grad_counts_as_zero(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = None
-        adamw_step([("p", p)], OptimizerState(), 0.1, (0.9, 0.999), 0.0)
-        assert p.data[0] == pytest.approx(1.0)
+        theta = np.array([2.0])
+        adamw_step(theta, np.array([0.0]), OptimizerState(1), 0.1,
+                   (0.9, 0.999), 0.5)
+        assert theta[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_moments_persist_across_steps(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
-        state = OptimizerState()
+        theta = np.array([0.0])
+        state = OptimizerState(1)
         for _ in range(3):
-            p.grad = np.array([1.0])
-            adamw_step([("p", p)], state, 0.01, (0.9, 0.999), 0.0)
+            adamw_step(theta, np.array([1.0]), state, 0.01, (0.9, 0.999), 0.0)
         assert state.step == 3
-        assert p.data[0] < 0  # moving against the gradient
+        assert theta[0] < 0  # moving against the gradient
 
     def test_negative_lr_rejected(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
         with pytest.raises(ConfigError):
-            adamw_step([("p", p)], OptimizerState(), -1.0)
+            adamw_step(np.array([1.0]), np.array([0.0]), OptimizerState(1),
+                       -1.0)
 
 
 class TestClip:
 
     def test_scales_to_max_norm(self):
-        a = Tensor(np.zeros(2), requires_grad=True)
-        b = Tensor(np.zeros(2), requires_grad=True)
-        a.grad = np.array([3.0, 0.0])
-        b.grad = np.array([0.0, 4.0])
-        norm = clip_gradients([("a", a), ("b", b)], 1.0)
+        grad = np.array([3.0, 0.0, 0.0, 4.0])
+        norm = clip_gradients(grad, 1.0)
         assert norm == pytest.approx(5.0)
-        total = np.sum(a.grad ** 2) + np.sum(b.grad ** 2)
-        assert math.sqrt(total) == pytest.approx(1.0)
+        assert math.sqrt(np.sum(grad ** 2)) == pytest.approx(1.0)
 
     def test_no_scaling_below_threshold(self):
-        a = Tensor(np.zeros(1), requires_grad=True)
-        a.grad = np.array([0.5])
-        clip_gradients([("a", a)], 1.0)
-        assert a.grad[0] == 0.5
+        grad = np.array([0.5])
+        clip_gradients(grad, 1.0)
+        assert grad[0] == 0.5
 
     def test_disabled_when_nonpositive(self):
-        a = Tensor(np.zeros(1), requires_grad=True)
-        a.grad = np.array([100.0])
-        clip_gradients([("a", a)], 0.0)
-        assert a.grad[0] == 100.0
+        grad = np.array([100.0])
+        clip_gradients(grad, 0.0)
+        assert grad[0] == 100.0
 
 
 class TestSchedule:
@@ -152,7 +138,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"drop_alpha": 1.0}, {"warmup_epochs": 5, "epochs": 3},
-        {"head": "regression"},
+        {"head": "regression"}, {"cox_chunk": 0}, {"cox_lambda": -1e-4},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -356,11 +342,6 @@ def cox_chunk(times, events, dim=16):
     return [s.bag for s in slides], chunk
 
 
-def flat_grads(named):
-    return np.concatenate([np.zeros(p.size) if p.grad is None
-                           else p.grad.ravel() for _, p in named])
-
-
 class TestCoxWalk:
     """The survival step streams the Breslow gradient over per-slide
     tapes; it must equal g^T J + 2 lam theta, with J the per-slide risk
@@ -369,22 +350,20 @@ class TestCoxWalk:
     LAM = 1e-2
 
     def _params(self, dim=16, inner=32):
-        params = init_marble_params(dim, inner, 4, 2, HEAD_SURVIVAL, 2,
-                                    np.random.default_rng(7))
-        return params, params.named_params()
+        return init_marble_params(dim, inner, 4, 2, HEAD_SURVIVAL, 2,
+                                  np.random.default_rng(7))
 
-    def _reference(self, bags, chunk, params, named):
+    def _reference(self, bags, chunk, params):
         rows = []
         for bag in bags:
-            for _, p in named:
-                p.grad = None
+            params.grad.fill(0.0)
             with Tape() as tape:
                 risk = encode_slide(bag, params).output
                 tape.backward(risk)
-            rows.append((risk.item(), flat_grads(named)))
+            rows.append((risk.item(), params.grad.copy()))
         jac = np.array([row for _, row in rows])
         risks = Tensor(np.array([r for r, _ in rows]), requires_grad=True)
-        theta = np.concatenate([p.data.ravel() for _, p in named])
+        theta = params.theta
         with Tape() as tape:
             loss = cox_loss(CoxBatch(risks, [c.record for c in chunk]),
                             self.LAM, theta @ theta)
@@ -398,29 +377,29 @@ class TestCoxWalk:
     ], ids=["tied-times", "all-events", "one-event"])
     def test_matches_jacobian_reference(self, times, events):
         bags, chunk = cox_chunk(times, [bool(e) for e in events])
-        params, named = self._params()
-        loss = trainer._cox_gradient(bags, chunk, params, named, self.LAM, 0)
-        walk = flat_grads(named)
-        want_loss, want = self._reference(bags, chunk, params, named)
+        params = self._params()
+        loss = trainer._cox_gradient(bags, chunk, params, self.LAM, 0)
+        walk = params.grad.copy()
+        want_loss, want = self._reference(bags, chunk, params)
         assert np.abs(walk - want).max() <= 1e-12 * np.abs(want).max()
         assert loss == pytest.approx(want_loss, rel=1e-14)
 
     def test_event_free_chunk_gives_the_penalty_gradient(self):
         bags, chunk = cox_chunk([1.0, 2.0, 3.0], [False] * 3)
-        params, named = self._params()
-        theta = np.concatenate([p.data.ravel() for _, p in named])
+        params = self._params()
+        theta = params.theta
         with pytest.warns(DegenerateCohortWarning):
-            loss = trainer._cox_gradient(bags, chunk, params, named,
-                                         self.LAM, 0)
-        assert np.array_equal(flat_grads(named), 2 * self.LAM * theta)
+            loss = trainer._cox_gradient(bags, chunk, params, self.LAM, 0)
+        assert np.array_equal(params.grad, 2 * self.LAM * theta)
         assert loss == pytest.approx(self.LAM * (theta @ theta), rel=1e-14)
 
     def test_central_differences(self):
         # D = 8, 4 slides, two tied pairs of times
         bags, chunk = cox_chunk([2.0, 1.0, 2.0, 1.0], [True, True, False, True],
                                 dim=8)
-        params, named = self._params(dim=8, inner=16)
-        trainer._cox_gradient(bags, chunk, params, named, self.LAM, 0)
+        params = self._params(dim=8, inner=16)
+        named = params.named_params()
+        trainer._cox_gradient(bags, chunk, params, self.LAM, 0)
         walk = [p.grad.copy() for _, p in named]
         records = [c.record for c in chunk]
 
@@ -451,11 +430,10 @@ class TestCoxWalk:
         config = tiny_config(head=HEAD_SURVIVAL)
         peaks = []
         for n in (2, 32):
-            params, named = self._params()
-            state = OptimizerState()
+            params = self._params()
+            state = OptimizerState(params.theta.size)
             tracemalloc.start()
-            trainer._step(bags[:n], chunk[:n], params, named, state, 1e-3,
-                          config, 0)
+            trainer._step(bags[:n], chunk[:n], params, state, 1e-3, config, 0)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 3 * peaks[0], peaks
