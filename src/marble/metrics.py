@@ -166,13 +166,13 @@ def auc_binary(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC undefined with a single class")
     order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    # a run of tied scores at 1-based ranks first..last shares the average
+    # rank (first + last) / 2, exact for consecutive integers
+    starts = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    ends = np.r_[starts[1:], len(s)]
     ranks = np.empty_like(s)
-    ranks[order] = np.arange(1, len(s) + 1)
-    # average ranks over tied scores
-    for value in np.unique(s):
-        mask = s == value
-        if mask.sum() > 1:
-            ranks[mask] = ranks[mask].mean()
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

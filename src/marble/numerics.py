@@ -104,7 +104,7 @@ def active_tape() -> Tape | None:
 def _finish(op: str, data: np.ndarray, inputs: tuple[Tensor, ...],
             backward_fn: Callable) -> Tensor:
     """Finalize a primitive: finiteness check, grad flag, tape record."""
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(op)
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
     if _ACTIVE_TAPE is not None and out.requires_grad:
@@ -173,21 +173,39 @@ def log(a: Tensor) -> Tensor:
     return _finish("log", np.log(ad), (a,), lambda g: (g / ad,))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) built in one new buffer."""
+    s = np.negative(x)
+    with np.errstate(over="ignore"):   # e^-x -> inf gives sigmoid 0
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^a), floored at the smallest normal float64 so the result
-    stays strictly positive where it would underflow to 0; the gradient
-    there is already ~0."""
+    """log(1 + e^a) = max(a, 0) + log1p(e^-|a|), floored at the smallest
+    normal float64 so the result stays strictly positive where it would
+    underflow to 0; the gradient there is already ~0. The sigmoid is only
+    built in backward, so evaluation and the tape never hold it."""
     ad = a.data
-    with np.errstate(over="ignore"):   # exp(-x) -> inf gives sigmoid 0
-        sig = 1.0 / (1.0 + np.exp(-ad))
-    out = np.maximum(np.logaddexp(0.0, ad), np.finfo(np.float64).tiny)
-    return _finish("softplus", out, (a,), lambda g: (g * sig,))
+    out = np.abs(ad)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(ad, 0.0)
+    np.maximum(out, np.finfo(np.float64).tiny, out=out)
+
+    def backward(g):
+        sig = _sigmoid(ad)
+        sig *= g
+        return (sig,)
+
+    return _finish("softplus", out, (a,), backward)
 
 
 def silu(a: Tensor) -> Tensor:
     ad = a.data
-    with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-ad))
+    sig = _sigmoid(ad)
     return _finish("silu", ad * sig, (a,),
                    lambda g: (g * (sig * (1.0 + ad * (1.0 - sig))),))
 

@@ -81,12 +81,12 @@ class TrainConfig:
 
 
 class OptimizerState:
-    """AdamW moments and two work arrays, all of the parameter count."""
+    """AdamW moments and one work array, all of the parameter count."""
 
     def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self.work = np.empty((2, size))
+        self.work = np.empty(size)
         self.step = 0
 
 
@@ -94,23 +94,29 @@ def adamw_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState,
                lr: float, betas=(0.9, 0.999), weight_decay: float = 1e-2,
                eps: float = 1e-8) -> None:
     """One decoupled-weight-decay Adam update of `theta` in place:
-    theta - lr m_hat / (sqrt(v_hat) + eps) - lr wd theta."""
+    theta - lr m_hat / (sqrt(v_hat) + eps) - lr wd theta, with the bias
+    corrections folded into two scalars."""
     if lr < 0:
         raise ConfigError("learning rate must be non-negative")
     b1, b2 = betas
     state.step += 1
     t = state.step
-    m, v, (a, b) = state.m, state.v, state.work
-    m *= b1
-    m += np.multiply(grad, 1 - b1, out=a)
-    v *= b2
-    v += np.multiply(np.multiply(grad, 1 - b2, out=a), grad, out=a)
-    np.multiply(np.divide(m, 1 - b1 ** t, out=a), lr, out=a)      # lr m_hat
-    np.add(np.sqrt(np.divide(v, 1 - b2 ** t, out=b), out=b), eps, out=b)
-    a /= b
-    np.multiply(theta, lr * weight_decay, out=b)
+    m, v, a = state.m, state.v, state.work
+    np.subtract(grad, m, out=a)
+    a *= 1 - b1
+    m += a
+    np.multiply(grad, grad, out=a)
+    a -= v
+    a *= 1 - b2
+    v += a
+    # m_hat / (sqrt(v_hat) + eps) == m c2 / (c1 (sqrt(v) + eps c2))
+    c1, c2 = 1 - b1 ** t, math.sqrt(1 - b2 ** t)
+    np.sqrt(v, out=a)
+    a += eps * c2
+    np.divide(m, a, out=a)
+    a *= lr * c2 / c1
+    theta *= 1 - lr * weight_decay
     theta -= a
-    theta -= b
 
 
 def clip_gradients(grad: np.ndarray, max_norm: float) -> float:

@@ -225,10 +225,13 @@ class TestCIndex:
 class TestAuc:
 
     def test_matches_pair_counting(self):
+        # lightly tied, heavily tied and tie-free scores
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            n = int(rng.integers(4, 20))
-            scores = np.round(rng.normal(size=n), 1)
+        for i in range(300):
+            n = int(rng.integers(4, 300))
+            scores = [np.round(rng.normal(size=n), 1),
+                      rng.integers(0, 3, size=n).astype(float),
+                      rng.permutation(n) + rng.random()][i % 3]
             labels = rng.integers(0, 2, size=n)
             if labels.sum() in (0, n):
                 labels[0] = 1 - labels[0]
@@ -237,8 +240,7 @@ class TestAuc:
             wins = (pos[:, None] > neg[None, :]).sum()
             ties = (pos[:, None] == neg[None, :]).sum()
             expected = (wins + 0.5 * ties) / (len(pos) * len(neg))
-            assert auc_binary(scores, labels) == pytest.approx(expected,
-                                                               abs=1e-12)
+            assert abs(auc_binary(scores, labels) - expected) <= 1e-15
 
     def test_single_class_raises(self):
         with pytest.raises(UndefinedMetricError):

@@ -40,6 +40,36 @@ class TestElementwise:
         assert nm.softplus(Tensor([0.0])).data[0] == pytest.approx(
             np.log(2.0), abs=1e-12)
 
+    def test_softplus_matches_logaddexp(self):
+        tiny = np.finfo(np.float64).tiny
+        x = np.r_[np.linspace(-800.0, 800.0, 20_001),
+                  0.0, 1e-300, -1e-300, -745.0, 36.0, 710.0]
+        out = nm.softplus(Tensor(x)).data
+        want = np.logaddexp(0.0, x)
+        normal = want >= tiny
+        assert normal.any() and not normal.all()
+        assert (np.abs(out[normal] - want[normal])
+                <= 1e-15 * want[normal]).all()
+        assert (out >= tiny).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_softplus_rejects_non_finite(self, bad):
+        with pytest.raises(NumericError) as exc:
+            nm.softplus(Tensor([0.0, bad]))
+        assert "softplus" in str(exc.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_softplus_gradient_saturates_exactly(self):
+        x = Tensor([-800.0, 800.0], requires_grad=True)
+        with Tape() as tape:
+            tape.backward(nm.tsum(nm.softplus(x)))
+        assert np.array_equal(x.grad, [0.0, 1.0])
+
+    def test_silu_matches_sigmoid_product(self):
+        x = np.random.default_rng(4).standard_normal(1000) * 20
+        assert np.array_equal(nm.silu(Tensor(x)).data,
+                              x * (1.0 / (1.0 + np.exp(-x))))
+
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
             nm.log(Tensor([1.0, 0.0]))

@@ -69,6 +69,23 @@ class TestAdamW:
         expected = start - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * start
         np.testing.assert_allclose(theta, expected, atol=1e-14)
 
+    def test_five_steps_match_textbook_bias_correction(self):
+        rng = np.random.default_rng(1)
+        theta = rng.normal(size=7)
+        want = theta.copy()
+        m, v = np.zeros(7), np.zeros(7)
+        lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
+        state = OptimizerState(7)
+        for t in range(1, 6):
+            g = rng.normal(size=7)
+            adamw_step(theta, g, state, lr, (b1, b2), wd, eps)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            want = want - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * want
+        np.testing.assert_allclose(theta, want, rtol=1e-12)
+
     def test_decay_is_decoupled(self):
         # zero gradient still shrinks the parameter by lr * wd * p
         theta = np.array([2.0])
