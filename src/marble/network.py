@@ -160,7 +160,7 @@ def fuse_level(x_k: Tensor, y_prev: Tensor, parents, fuse_w: Tensor,
     project the concatenation [x_i || y_prev[parents[i]]] back to D."""
     context = nm.gather_rows(y_prev, parents)
     joined = nm.concat_last_dim(x_k, context)
-    return nm.add(nm.matmul(joined, fuse_w), fuse_b)
+    return nm.affine(joined, fuse_w, fuse_b)
 
 
 def attention_pool(y: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:

@@ -53,8 +53,8 @@ class Tape:
     """
 
     def __init__(self):
-        # each node: (out_tensor, input_tensors, backward_fn)
-        self.nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # each node: (out_tensor, input_tensors, backward_fn); None once swept
+        self.nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable] | None] = []
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -70,12 +70,19 @@ class Tape:
 
     def backward(self, loss: Tensor) -> None:
         """Reverse sweep from a scalar loss; writes `.grad` on leaves, in
-        place where a leaf already has a `.grad` array."""
+        place where a leaf already has a `.grad` array. Each node is
+        released (set to None) once its backward has run, so the sweep
+        frees the forward's arrays as it goes; a tape sweeps only once."""
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
+        nodes = self.nodes
+        if nodes and nodes[-1] is None:
+            raise RuntimeError("this tape was already swept; record a new one")
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         holders: dict[int, Tensor] = {id(loss): loss}
-        for out, inputs, backward_fn in reversed(self.nodes):
+        for i in reversed(range(len(nodes))):
+            out, inputs, backward_fn = nodes[i]
+            nodes[i] = None
             g = grads.pop(id(out), None)
             holders.pop(id(out), None)
             if g is None:
@@ -123,16 +130,9 @@ def record_primitive(op: str, data: np.ndarray, inputs: Sequence[Tensor],
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; also supports (T, D) + (D,) row-bias broadcast."""
-    if a.shape == b.shape:
-        return _finish("add", a.data + b.data, (a, b), lambda g: (g, g))
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        return _finish("add", a.data + b.data[None, :], (a, b),
-                       lambda g: (g, g.sum(axis=0)))
-    if b.data.ndim == 2 and a.data.ndim == 1 and b.shape[1] == a.shape[0]:
-        return _finish("add", a.data[None, :] + b.data, (a, b),
-                       lambda g: (g.sum(axis=0), g))
-    raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes differ {a.shape} vs {b.shape}")
+    return _finish("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -158,6 +158,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     return _finish("matmul", ad @ bd, (a, b),
                    lambda g: (g @ bd.T, ad.T @ g))
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for (T, K) x, (K, M) w and (M,) b, as one node: the bias
+    is added in place, so no pre-bias product is kept."""
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] \
+            or b.shape != (wd.shape[1],):
+        raise DimensionError(
+            f"affine: shapes {x.shape} x {w.shape} + {b.shape} disagree")
+    out = xd @ wd
+    out += b.data
+    return _finish("affine", out, (x, w, b),
+                   lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -204,10 +218,17 @@ def softplus(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
+    """x sigmoid(x); the tape keeps only x and backward rebuilds the
+    sigmoid, as softplus does."""
     ad = a.data
-    sig = _sigmoid(ad)
-    return _finish("silu", ad * sig, (a,),
-                   lambda g: (g * (sig * (1.0 + ad * (1.0 - sig))),))
+    out = _sigmoid(ad)
+    out *= ad
+
+    def backward(g):
+        sig = _sigmoid(ad)
+        return (g * (sig * (1.0 + ad * (1.0 - sig))),)
+
+    return _finish("silu", out, (a,), backward)
 
 
 def concat_last_dim(a: Tensor, b: Tensor) -> Tensor:
@@ -251,13 +272,6 @@ def tsum(a: Tensor) -> Tensor:
     shape = a.shape
     return _finish("sum", np.sum(a.data), (a,),
                    lambda g: (np.broadcast_to(g, shape).copy(),))
-
-
-def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
-    shape = a.shape
-    return _finish("mean", np.mean(a.data), (a,),
-                   lambda g: (np.broadcast_to(g / n, shape).copy(),))
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:

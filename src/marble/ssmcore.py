@@ -5,9 +5,10 @@ decay a < 0, input-dependent step delta through softplus, per-step input
 and output maps B_t / C_t shared across channels, a multiplicative silu
 gate, a skip path, and a residual connection. The scan runs over T in
 fixed chunks with only the state recursion in the Python loop; in
-gradient mode it keeps each chunk's start state and recomputes the
-chunk's states in backward, so its memory is O(T E + (T / 16 + 16) E N)
-instead of O(T E N). A naive O(T^2) materialization of the same
+gradient mode it keeps only each chunk's start state beside its operands
+and output, (T / 16) E N floats, and backward recomputes each chunk's
+decays, injections and states from it, so no (T, E, N) array and no
+(T, E) intermediate is stored. A naive O(T^2) materialization of the same
 recurrence (`reference_scan`) serves as the correctness oracle, and a
 plain quadratic self-attention layer is kept around as the benchmark
 foil.
@@ -101,9 +102,11 @@ def selective_scan(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
     with h in R^{E x N}, h[0-] = 0. Time Theta(T E N). The scan walks T in
     chunks of `_CHUNK` steps: only the state recursion runs per step, and
     the injections, outputs and gradients are batched per chunk. When
-    gradients are being recorded only each chunk's start state is kept;
-    backward recomputes the chunk's states from it, so memory is
-    O(T E + (T / _CHUNK + _CHUNK) E N) rather than O(T E N).
+    gradients are being recorded the node keeps, beside its operands and
+    output, only each chunk's start state, (T / _CHUNK) E N floats;
+    backward recomputes the chunk's decays, injections and states from
+    it. Overflow is not warned about: it reaches the finiteness check as
+    `NumericError('selective_scan')`.
     """
     ud, dd, bd, cd = u.data, delta.data, b.data, c.data
     ad, skip = a.data, d.data
@@ -118,73 +121,93 @@ def selective_scan(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
     if np.any(dd <= 0.0):
         raise DomainError("selective_scan: delta must be strictly positive")
 
-    abar = np.exp(dd * ad)    # (T, E)
-    du = dd * ud              # (T, E)
     needs_grad = nm.active_tape() is not None and any(
         t.requires_grad for t in (u, delta, b, c, a, d))
-    # states are held transposed, (N, E), so the per-step decay broadcasts
-    # along contiguous rows. buf[0] is the state before a chunk and
-    # buf[1 + i] the state after its step i.
+    # states are held transposed, (N, E). hbuf[0] is the state before a
+    # chunk and hbuf[1 + i] the state after its step i. abar = exp(delta a)
+    # and du = delta u are built one chunk at a time, in forward and again
+    # in backward; decay is abar broadcast over the N state rows, so each
+    # step's decay multiply is one flat (N, E) loop.
     chunks = range(0, t_len, _CHUNK)
+    hbuf = np.zeros((_CHUNK + 1, n_dim, e_dim))
+    abar = np.empty((_CHUNK, e_dim))
+    du = np.empty((_CHUNK, e_dim))
+    decay = np.empty((_CHUNK, n_dim, e_dim))
     tmp = np.empty((n_dim, e_dim))
 
-    def chunk_states(buf, s, e):
-        """States after steps s..e-1 into buf[1:], recurred from buf[0]."""
-        states = buf[1:e - s + 1]
-        np.einsum("tn,te->tne", bd[s:e], du[s:e], out=states)
-        for h_prev, h, abar_t in zip(buf, states, abar[s:e, None, :]):
-            np.multiply(abar_t, h_prev, out=tmp)
+    def load_chunk(s, e):
+        """abar, du and decay for steps s..e-1 into the chunk buffers."""
+        n = e - s
+        np.multiply(dd[s:e], ad, out=abar[:n])
+        np.exp(abar[:n], out=abar[:n])
+        np.multiply(dd[s:e], ud[s:e], out=du[:n])
+        decay[:n] = abar[:n, None, :]
+
+    def chunk_states(s, e):
+        """States after the loaded steps s..e-1 into hbuf[1:], recurred
+        from hbuf[0]."""
+        states = hbuf[1:e - s + 1]
+        np.einsum("tn,te->tne", bd[s:e], du[:e - s], out=states)
+        for h_prev, h, decay_t in zip(hbuf, states, decay):
+            np.multiply(decay_t, h_prev, out=tmp)
             h += tmp
         return states
 
-    hbuf = np.zeros((_CHUNK + 1, n_dim, e_dim))
     starts = np.empty((len(chunks), n_dim, e_dim)) if needs_grad else None
     y = np.empty_like(ud)
-    for k, s in enumerate(chunks):
-        e = min(s + _CHUNK, t_len)
-        if k:
-            hbuf[0] = hbuf[_CHUNK]    # every chunk but the last is full
-        if needs_grad:
-            starts[k] = hbuf[0]
-        states = chunk_states(hbuf, s, e)
-        np.matmul(cd[s:e, None, :], states, out=y[s:e, None, :])
-    y += skip * ud
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, s in enumerate(chunks):
+            e = min(s + _CHUNK, t_len)
+            if k:
+                hbuf[0] = hbuf[_CHUNK]    # every chunk but the last is full
+            if needs_grad:
+                starts[k] = hbuf[0]
+            load_chunk(s, e)
+            states = chunk_states(s, e)
+            np.matmul(cd[s:e, None, :], states, out=y[s:e, None, :])
+        y += skip * ud
+    last_in_hbuf = needs_grad
 
     def backward(gy):
-        g_abar = np.empty_like(dd)    # d loss / d abar[t]
-        g_inj = np.empty_like(dd)     # b[t] . d loss / d h[t]
+        # the first call reads the last chunk's buffers as the forward
+        # left them, then recomputes the others over them; a later call
+        # recomputes every chunk
+        nonlocal last_in_hbuf
+        reuse, last_in_hbuf = last_in_hbuf, False
+        g_abar = np.empty_like(dd)    # d loss / d abar[t], then d / d delta
+        g_inj = np.empty_like(dd)     # b[t] . d loss / d h[t], then d / d u
         gb = np.empty_like(bd)
         gc = np.empty_like(cd)
         gh = np.empty((_CHUNK, n_dim, e_dim))
         carry = np.zeros((n_dim, e_dim))
-        # the last chunk's states are still in hbuf; the others are
-        # recomputed into rbuf, so hbuf stays valid for another backward
-        rbuf = np.empty_like(hbuf)
-        for k in reversed(range(len(chunks))):
-            s = chunks[k]
-            e = min(s + _CHUNK, t_len)
-            if k == len(chunks) - 1:
-                buf = hbuf
-            else:
-                buf = rbuf
-                rbuf[0] = starts[k]
-                chunk_states(rbuf, s, e)
-            states = buf[1:e - s + 1]
-            ghc = gh[:e - s]
-            np.einsum("tn,te->tne", cd[s:e], gy[s:e], out=ghc)
-            for gh_t, abar_t in zip(ghc[::-1], abar[s:e, None, :][::-1]):
-                gh_t += carry
-                np.multiply(gh_t, abar_t, out=carry)
-            np.matmul(states, gy[s:e, :, None], out=gc[s:e, :, None])
-            np.einsum("tne,tne->te", ghc, buf[:e - s], out=g_abar[s:e])
-            np.matmul(bd[s:e, None, :], ghc, out=g_inj[s:e, None, :])
-            np.matmul(ghc, du[s:e, :, None], out=gb[s:e, :, None])
-        g_abar *= abar
-        gdelta = g_abar * ad + g_inj * ud
-        ga = (g_abar * dd).sum(axis=0)
-        gu = gy * skip + g_inj * dd
-        gskip = (gy * ud).sum(axis=0)
-        return (gu, gdelta, gb, gc, ga, gskip)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in reversed(range(len(chunks))):
+                s = chunks[k]
+                e = min(s + _CHUNK, t_len)
+                n = e - s
+                if not (reuse and k == len(chunks) - 1):
+                    load_chunk(s, e)
+                    hbuf[0] = starts[k]
+                    chunk_states(s, e)
+                states = hbuf[1:n + 1]
+                ghc = gh[:n]
+                np.einsum("tn,te->tne", cd[s:e], gy[s:e], out=ghc)
+                for gh_t, decay_t in zip(ghc[::-1], decay[:n][::-1]):
+                    gh_t += carry
+                    np.multiply(gh_t, decay_t, out=carry)
+                np.matmul(states, gy[s:e, :, None], out=gc[s:e, :, None])
+                np.einsum("tne,tne->te", ghc, hbuf[:n], out=g_abar[s:e])
+                g_abar[s:e] *= abar[:n]
+                np.matmul(bd[s:e, None, :], ghc, out=g_inj[s:e, None, :])
+                np.matmul(ghc, du[:n, :, None], out=gb[s:e, :, None])
+            work = np.multiply(g_abar, dd)
+            ga = work.sum(axis=0)
+            g_abar *= ad
+            g_abar += np.multiply(g_inj, ud, out=work)
+            gskip = np.multiply(gy, ud, out=work).sum(axis=0)
+            g_inj *= dd
+            g_inj += np.multiply(gy, skip, out=work)
+        return (g_inj, g_abar, gb, gc, ga, gskip)
 
     return nm.record_primitive("selective_scan", y, (u, delta, b, c, a, d),
                                backward)
@@ -214,7 +237,7 @@ def ssm_block_forward(x: Tensor, p: SsmBlockParams) -> Tensor:
         raise DimensionError(f"ssm_block_forward needs (T, D), got {x.shape}")
     u = nm.matmul(x, p.w_in)
     z = nm.matmul(x, p.w_gate)
-    delta = nm.softplus(nm.add(nm.matmul(u, p.w_delta), p.b_delta))
+    delta = nm.softplus(nm.affine(u, p.w_delta, p.b_delta))
     b = nm.matmul(u, p.w_b)
     c = nm.matmul(u, p.w_c)
     a = nm.scale(nm.exp(p.a_log), -1.0)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -108,14 +110,27 @@ class TestElementwise:
         rng = np.random.default_rng(8)
         a = rand_tensor(rng, (3, 2))
         b = rand_tensor(rng, (3, 2))
+        w = rand_tensor(rng, (2, 2))
         bias = rand_tensor(rng, (2,))
         for f in (lambda: nm.tsum(nm.mul(a, b)),
                   lambda: nm.tsum(nm.add(a, b)),
-                  lambda: nm.tsum(nm.add(a, bias)),
+                  lambda: nm.tsum(nm.mul(nm.affine(a, w, bias), b)),
                   lambda: nm.tsum(nm.concat_last_dim(a, b)),
-                  lambda: nm.tmean(nm.mul(a, a)),
                   lambda: nm.dot(nm.reshape(a, (6,)), nm.reshape(b, (6,)))):
-            assert nm.finite_diff_check(f, [a, b, bias]) < 1e-6
+            assert nm.finite_diff_check(f, [a, b, w, bias]) < 1e-6
+
+    def test_affine_matches_product_plus_bias(self):
+        rng = np.random.default_rng(10)
+        x, w = rng.standard_normal((6, 3)), rng.standard_normal((3, 4))
+        bias = rng.standard_normal(4)
+        out = nm.affine(Tensor(x), Tensor(w), Tensor(bias)).data
+        assert np.array_equal(out, x @ w + bias)
+        with pytest.raises(DimensionError):
+            nm.affine(Tensor(x), Tensor(w), Tensor(np.zeros(3)))
+
+    def test_add_needs_equal_shapes(self):
+        with pytest.raises(DimensionError):
+            nm.add(Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
 
 
 class TestSoftmax:
@@ -186,6 +201,38 @@ class TestBackward:
         l2, ga2, gb2 = run()
         assert l1 == l2
         assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
+
+    def test_backward_releases_every_node_and_sweeps_once(self):
+        rng = np.random.default_rng(13)
+        a, b = rand_tensor(rng, (4, 4)), rand_tensor(rng, (4, 4))
+        with Tape() as tape:
+            loss = nm.tsum(nm.silu(nm.matmul(a, b)))
+            recorded = len(tape.nodes)
+            tape.backward(loss)
+        assert recorded == 3
+        assert tape.nodes == [None] * recorded
+        with pytest.raises(RuntimeError, match="already swept"):
+            tape.backward(loss)
+
+    def test_intermediates_are_freed_during_the_sweep(self):
+        # by the time the sweep reaches the first node, the arrays that
+        # only later nodes held must be gone
+        rng = np.random.default_rng(14)
+        x = rand_tensor(rng, (8, 8))
+        seen = {}
+
+        def probe(g):
+            seen["alive"] = late() is not None
+            return (g,)
+
+        with Tape() as tape:
+            first = nm.record_primitive("probe", x.data.copy(), [x], probe)
+            hidden = nm.exp(nm.silu(first))
+            late = weakref.ref(hidden.data)
+            loss = nm.tsum(hidden)
+            del hidden
+            tape.backward(loss)
+        assert seen == {"alive": False}
 
     def test_nan_fails_fast(self):
         with pytest.raises(NumericError) as exc:

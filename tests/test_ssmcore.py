@@ -134,6 +134,21 @@ class TestSelectiveScan:
         assert y.shape == (t_len, e_dim)
         assert kept < t_len * e_dim * n_dim * 8 / 2
 
+    @pytest.mark.parametrize("t_len", [1, 15, 16, 17, 40])
+    def test_backward_twice_gives_the_same_gradients(self, t_len):
+        # the first call reads the last chunk's states from the forward's
+        # buffer and then overwrites it; the second must recompute them
+        rng = np.random.default_rng(200 + t_len)
+        ops = random_scan_inputs(rng, t_len, 5, 3, requires_grad=True)
+        gy = rng.standard_normal((t_len, 5))
+        with nm.Tape() as tape:
+            selective_scan(**ops)
+        (_, _, backward), = tape.nodes
+        first = [g.copy() for g in backward(gy)]
+        second = backward(gy)
+        for g1, g2 in zip(first, second):
+            assert np.array_equal(g1, g2)
+
     def test_gradients(self):
         rng = np.random.default_rng(5)
         ops = random_scan_inputs(rng, 5, 2, 3, requires_grad=True)
@@ -214,6 +229,27 @@ class TestSsmBlock:
         x = rng.standard_normal((20, 64)) * 1e3
         y = ssm_block_forward(Tensor(x), p)
         assert np.isfinite(y.data).all()
+
+    def test_tape_keeps_only_what_backward_reads(self):
+        # bytes held after a training forward, and at the peak of its
+        # backward, in units of one (T, E) float64 array
+        t_len, d_model, e_dim, n_dim = 2048, 64, 128, 16
+        rng = np.random.default_rng(17)
+        p = init_ssm_params(d_model, e_dim, n_dim, rng)
+        x = Tensor(rng.standard_normal((t_len, d_model)))
+        unit = t_len * e_dim * 8
+        tracemalloc.start()
+        try:
+            with nm.Tape() as tape:
+                loss = nm.tsum(ssm_block_forward(x, p))
+                kept, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                tape.backward(loss)
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 10.5 * unit
+        assert peak <= 14.0 * unit
 
     def test_decay_strictly_negative(self):
         rng = np.random.default_rng(11)

@@ -257,6 +257,25 @@ class TestTrainLoop:
         if error is NumericError:
             assert exc.value.op
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("largest", [1e20, 1e30, 3e38])
+    def test_overflowing_bag_fails_in_the_scan_without_warnings(self,
+                                                                largest):
+        # float32-representable embeddings so large that the scan
+        # overflows: a NumericError, not a RuntimeWarning turned error
+        index, loader = make_index()
+
+        def load(rec):
+            bag = loader(rec)
+            top = max(np.abs(lv.embeddings).max() for lv in bag.levels)
+            return TokenBag([replace(lv, embeddings=(
+                lv.embeddings * (largest / top)).astype(np.float32)
+                .astype(np.float64)) for lv in bag.levels])
+
+        with pytest.raises(NumericError, match="epoch 0") as exc:
+            train(index, tiny_config(), bag_loader=load)
+        assert exc.value.op == "selective_scan"
+
     def test_returns_best_not_last(self):
         index, loader = make_index()
         result = train(index, tiny_config(epochs=4), bag_loader=loader)
