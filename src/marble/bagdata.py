@@ -97,8 +97,8 @@ def generate_slide(spec: SynthSpec, target, rng: np.random.Generator
 
     `target` is the class label for classification, or the co-located
     pair count for survival (the event time is drawn by the caller).
-    Embeddings are rounded through float32 so bag files round-trip
-    bit-exactly.
+    Embeddings are drawn and planted in float64, then stored as float32,
+    the bag file's precision, so bag files round-trip bit-exactly.
     """
     s_coarse, s_fine = signal_directions(spec)
     dims = _grid_chain(spec)
@@ -149,8 +149,8 @@ def generate_slide(spec: SynthSpec, target, rng: np.random.Generator
     if spec.levels > 1:
         fine_level.embeddings[fine_sig] += amp * s_fine
 
-    for lv in levels:  # float32 parity with the on-disk format
-        lv.embeddings = lv.embeddings.astype(np.float32).astype(np.float64)
+    for lv in levels:
+        lv.embeddings = lv.embeddings.astype(np.float32)
 
     info = SlideInfo(coarse_signal_idx=sorted(int(i) for i in coarse_sig),
                      fine_signal_idx=sorted(fine_sig),
@@ -270,7 +270,7 @@ def _parse_bag(blob: bytes) -> TokenBag:
         parents_raw = np.frombuffer(need(4 * count, f"level {k} parents"),
                                     dtype="<u4")
         emb = np.frombuffer(need(4 * count * dim, f"level {k} embeddings"),
-                            dtype="<f4").reshape(count, dim).astype(np.float64)
+                            dtype="<f4").reshape(count, dim).astype(np.float32)
         if k == 0:
             if not np.all(parents_raw == _NO_PARENT):
                 raise FormatError(
@@ -294,7 +294,7 @@ def _parse_bag(blob: bytes) -> TokenBag:
                 raise FormatError(
                     f"level {k} coordinate at offset {coords_off + 4 * bad} "
                     f"does not lie under its parent's")
-        levels.append(BagLevel(emb.copy(), coords.copy(), parents,
+        levels.append(BagLevel(emb, coords, parents,
                                None if k == 0 else int(ratio)))
     if off != len(blob):
         raise FormatError(f"trailing bytes after offset {off}")

@@ -198,7 +198,7 @@ def encode_slide(bag: TokenBag, params: MarbleParams) -> SlideOutput:
             raise DimensionError(
                 f"level {k} embedding dim {level.embeddings.shape[1]} != "
                 f"model dim {params.d_model}")
-        x = Tensor(level.embeddings)
+        x = Tensor(level.embeddings)      # the one widening to float64
         if k > 0:
             x = fuse_level(x, y_prev, level.parents,
                            params.fuse_w[k - 1], params.fuse_b[k - 1])

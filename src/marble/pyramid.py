@@ -43,7 +43,7 @@ class LevelGrid:
 class BagLevel:
     """Tokens of one level: embeddings, grid coords, parent indices."""
 
-    embeddings: np.ndarray           # float64, (T, D)
+    embeddings: np.ndarray           # any float (bag files: float32), (T, D)
     coords: np.ndarray               # int64, (T, 2) as (row, col)
     parents: np.ndarray | None       # int64, (T,); None at level 0
     ratio: int | None = None         # zoom ratio to the parent level
@@ -117,7 +117,7 @@ def build_bag(grids: list[LevelGrid], embeddings: list[np.ndarray]) -> TokenBag:
             parents = np.asarray(parent_idx, dtype=np.int64)
         coords = np.asarray([tissue[i] for i in keep], dtype=np.int64).reshape(-1, 2)
         levels.append(BagLevel(
-            embeddings=emb[keep].copy(),
+            embeddings=emb[keep],
             coords=coords,
             parents=parents,
             ratio=None if k == 0 else grid.ratio_to_parent,
@@ -137,8 +137,8 @@ def _cascade(bag: TokenBag, keep0: np.ndarray) -> TokenBag:
             mapped = remap[lv.parents]
             idx = np.nonzero(mapped >= 0)[0]
             parents = mapped[idx]
-        out.append(BagLevel(lv.embeddings[idx].copy(), lv.coords[idx].copy(),
-                            parents, lv.ratio))
+        out.append(BagLevel(lv.embeddings[idx], lv.coords[idx], parents,
+                            lv.ratio))
         remap = np.full(lv.count, -1, dtype=np.int64)
         remap[idx] = np.arange(idx.size)
     return TokenBag(levels=out)
@@ -179,8 +179,8 @@ def shuffle_within_levels(bag: TokenBag, rng_seed: int) -> TokenBag:
         parents = None
         if lv.parents is not None:
             parents = inv_prev[lv.parents][perm]
-        out.append(BagLevel(lv.embeddings[perm].copy(), lv.coords[perm].copy(),
-                            parents, lv.ratio))
+        out.append(BagLevel(lv.embeddings[perm], lv.coords[perm], parents,
+                            lv.ratio))
         inv_prev = np.empty(lv.count, dtype=np.int64)
         inv_prev[perm] = np.arange(lv.count)
     return TokenBag(levels=out)

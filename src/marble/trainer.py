@@ -173,12 +173,14 @@ class _BagCache:
         return bag
 
 
-def _regularized_bag(bag: TokenBag, config: TrainConfig, drop_seed: int,
-                     shuffle_seed: int) -> TokenBag:
+def _regularized_bag(bag: TokenBag, config: TrainConfig, epoch: int,
+                     position: int) -> TokenBag:
     if config.drop_alpha > 0.0 and bag.n_levels > 0:
-        bag = coarse_branch_drop(bag, config.drop_alpha, drop_seed)
+        bag = coarse_branch_drop(bag, config.drop_alpha, derive_seed(
+            config.seed, f"drop:{epoch}:{position}"))
     if config.shuffle_each_epoch:
-        bag = shuffle_within_levels(bag, shuffle_seed)
+        bag = shuffle_within_levels(bag, derive_seed(
+            config.seed, f"shuffle:{epoch}:{position}"))
     return bag
 
 
@@ -217,13 +219,10 @@ def train(index: DatasetIndex, config: TrainConfig,
         losses: list[float] = []
         for start in range(0, len(order), step):
             chunk = [train_recs[i] for i in order[start:start + step]]
-            bags = [_regularized_bag(
-                cache.get(rec), config,
-                derive_seed(config.seed, f"drop:{epoch}:{start + j}"),
-                derive_seed(config.seed, f"shuffle:{epoch}:{start + j}"))
-                for j, rec in enumerate(chunk)]
-            losses.append(_step(bags, chunk, params, state, lr, config,
-                                epoch))
+            bags = [cache.get(rec) for rec in chunk]
+            losses.append(_step(
+                lambda j: _regularized_bag(bags[j], config, epoch, start + j),
+                chunk, params, state, lr, config, epoch))
         train_loss = float(np.mean(losses)) if losses else 0.0
 
         val_metric = evaluate(params, val_recs,
@@ -259,14 +258,14 @@ def _naming(where: str):
         raise type(exc)(f"{exc} ({where})") from exc
 
 
-def _step(bags, chunk, params, state, lr, config, epoch) -> float:
-    """One optimizer step on the slides of `chunk`, already loaded as
-    `bags`: cross-entropy on one slide, or the Cox loss on the chunk."""
+def _step(bag_of, chunk, params, state, lr, config, epoch) -> float:
+    """One optimizer step on `chunk`, slide j's bag built by `bag_of(j)`
+    when reached: cross-entropy on one slide, or the Cox loss on the chunk."""
     if config.head == HEAD_CLASSIFICATION:
-        loss = _slide_backward(bags[0], chunk[0], params, epoch,
+        loss = _slide_backward(bag_of(0), chunk[0], params, epoch,
                                lambda out: cross_entropy(out, chunk[0].label))
     else:
-        loss = _cox_gradient(bags, chunk, params, config.cox_lambda, epoch)
+        loss = _cox_gradient(bag_of, chunk, params, config.cox_lambda, epoch)
     clip_gradients(params.grad, config.grad_clip)
     adamw_step(params.theta, params.grad, state, lr,
                (config.beta1, config.beta2), config.weight_decay)
@@ -283,9 +282,9 @@ def _slide_backward(bag, rec, params, epoch, head) -> float:
     return value.item()
 
 
-def _cox_gradient(bags, chunk, params, lam, epoch) -> float:
+def _cox_gradient(bag_of, chunk, params, lam, epoch) -> float:
     """Write the gradient of the chunk's Cox loss into `params.grad` and
-    return the loss, holding one slide's tape at a time.
+    return the loss, holding one slide's bag, bag_of(j), and tape at once.
 
     The loss depends on theta only through the risks r_j. The walk visits
     the tie groups from the latest time to the earliest and keeps, with
@@ -304,7 +303,7 @@ def _cox_gradient(bags, chunk, params, lam, epoch) -> float:
     for group in descending_tie_groups([r.time for r in records]):
         deaths = 0
         for j in group:
-            risks[j] = r = _slide_backward(bags[j], chunk[j], params, epoch,
+            risks[j] = r = _slide_backward(bag_of(j), chunk[j], params, epoch,
                                            lambda out: out)
             if records[j].event:
                 grad -= d_risk

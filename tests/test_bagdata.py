@@ -103,6 +103,13 @@ class TestGenerateSlide:
             np.testing.assert_array_equal(
                 lv.embeddings, lv.embeddings.astype(np.float32))
 
+    def test_embeddings_are_float32_as_stored(self):
+        for task in ("classification", "survival"):
+            for s in generate_dataset(SynthSpec(n_slides=4, seed=7,
+                                                task=task)):
+                assert all(lv.embeddings.dtype == np.float32
+                           for lv in s.bag.levels)
+
     def test_too_small_grid_raises(self):
         # every coarse cell is signalled, so no parent can host a decoy
         spec = SynthSpec(seed=8, coarse_rows=2, coarse_cols=2,
@@ -165,6 +172,22 @@ class TestBagFormat:
             else:
                 np.testing.assert_array_equal(a.parents, b.parents)
             assert a.ratio == b.ratio
+
+    def test_read_gives_float32_equal_to_the_payload(self, tmp_path):
+        path = str(tmp_path / "x.bag")
+        write_bag(self._bag(16), path)
+        blob = open(path, "rb").read()
+        loaded = read_bag(path)
+        dim = loaded.levels[0].embeddings.shape[1]
+        off = 4 + 7                          # magic, version/levels/D
+        for lv in loaded.levels:
+            off += 8 + 8 * lv.count + 4 * lv.count   # header, coords, parents
+            payload = blob[off:off + 4 * lv.count * dim]
+            off += len(payload)
+            assert lv.embeddings.dtype == np.float32
+            assert lv.embeddings.flags.writeable
+            assert lv.embeddings.astype("<f4").tobytes() == payload
+        assert off == len(blob)
 
     def test_magic_checked(self, tmp_path):
         path = str(tmp_path / "x.bag")

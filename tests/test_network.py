@@ -3,18 +3,20 @@
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from marble import numerics as nm
+from marble.bagdata import SynthSpec, generate_slide
 from marble.errors import ConfigError, DimensionError, FormatError
 from marble.network import (HEAD_CLASSIFICATION, HEAD_SURVIVAL, MarbleParams,
                             attention_pool, classify, encode_slide,
                             fuse_level, init_marble_params, load_checkpoint,
                             param_shapes, risk_score, save_checkpoint)
 from marble.numerics import Tape, Tensor
-from marble.pyramid import LevelGrid, build_bag
+from marble.pyramid import LevelGrid, TokenBag, build_bag
 
 
 def small_bag(rng, d_model=8, coarse=(2, 2), levels=2):
@@ -248,6 +250,28 @@ class TestEncodeSlide:
         bag.levels[0].embeddings = bag.levels[0].embeddings + 1.0
         shifted = encode_slide(bag, params).output.data
         assert not np.allclose(base, shifted)
+
+    def test_float32_bag_matches_its_float64_widening(self):
+        # encode_slide widens rows to float64 itself, so a bag kept at
+        # its stored float32 gives the same bits as a float64 copy
+        bag, _ = generate_slide(SynthSpec(seed=5, dim=8, coarse_rows=2,
+                                          coarse_cols=2, task="survival"),
+                                2, np.random.default_rng(5))
+        wide = TokenBag([replace(lv, embeddings=lv.embeddings.astype(
+            np.float64)) for lv in bag.levels])
+        assert bag.levels[0].embeddings.dtype == np.float32
+        params = init_marble_params(8, 16, 4, 2, HEAD_SURVIVAL, 2,
+                                    np.random.default_rng(6))
+        runs = []
+        for b in (bag, wide):
+            params.grad.fill(0.0)
+            with Tape() as tape:
+                out = encode_slide(b, params)
+                tape.backward(out.output)
+            runs.append((out.output.data.tobytes(),
+                         out.pool_weights.data.tobytes(),
+                         params.grad.tobytes()))
+        assert runs[0] == runs[1]
 
     def test_full_model_gradient(self):
         rng = np.random.default_rng(12)

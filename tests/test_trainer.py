@@ -7,6 +7,7 @@ determinism, early stopping, and head/task consistency.
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -414,7 +415,8 @@ class TestCoxWalk:
     def test_matches_jacobian_reference(self, times, events):
         bags, chunk = cox_chunk(times, [bool(e) for e in events])
         params = self._params()
-        loss = trainer._cox_gradient(bags, chunk, params, self.LAM, 0)
+        loss = trainer._cox_gradient(bags.__getitem__, chunk, params,
+                                     self.LAM, 0)
         walk = params.grad.copy()
         want_loss, want = self._reference(bags, chunk, params)
         assert np.abs(walk - want).max() <= 1e-12 * np.abs(want).max()
@@ -425,7 +427,8 @@ class TestCoxWalk:
         params = self._params()
         theta = params.theta
         with pytest.warns(DegenerateCohortWarning):
-            loss = trainer._cox_gradient(bags, chunk, params, self.LAM, 0)
+            loss = trainer._cox_gradient(bags.__getitem__, chunk, params,
+                                         self.LAM, 0)
         assert np.array_equal(params.grad, 2 * self.LAM * theta)
         assert loss == pytest.approx(self.LAM * (theta @ theta), rel=1e-14)
 
@@ -435,7 +438,8 @@ class TestCoxWalk:
                                 dim=8)
         params = self._params(dim=8, inner=16)
         named = params.named_params()
-        trainer._cox_gradient(bags, chunk, params, self.LAM, 0)
+        trainer._cox_gradient(bags.__getitem__, chunk, params,
+                              self.LAM, 0)
         walk = [p.grad.copy() for _, p in named]
         records = [c.record for c in chunk]
 
@@ -460,6 +464,25 @@ class TestCoxWalk:
                             / max(abs(gflat[i]), abs(numeric), 1e-8))
         assert worst < 1e-4
 
+    def test_train_builds_one_regularized_bag_at_a_time(self, monkeypatch):
+        # each slide's regularized bag is built when the Cox walk reaches
+        # it, so no earlier one is alive when the next is built
+        index, loader = make_index(task=HEAD_SURVIVAL)
+        build = trainer._regularized_bag
+        built, alive = [], []
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in built))
+            bag = build(*args)
+            built.append(weakref.ref(bag))
+            return bag
+
+        monkeypatch.setattr(trainer, "_regularized_bag", tracked)
+        train(index, tiny_config(head=HEAD_SURVIVAL, cox_chunk=16, epochs=2),
+              bag_loader=loader)
+        assert len(built) == 2 * 16
+        assert max(alive) == 0, alive
+
     def test_memory_does_not_grow_with_the_chunk(self):
         bags, chunk = cox_chunk([1.0 + (i % 5) for i in range(32)],
                                 [i % 3 != 0 for i in range(32)])
@@ -469,7 +492,8 @@ class TestCoxWalk:
             params = self._params()
             state = OptimizerState(params.theta.size)
             tracemalloc.start()
-            trainer._step(bags[:n], chunk[:n], params, state, 1e-3, config, 0)
+            trainer._step(bags[:n].__getitem__, chunk[:n], params, state,
+                          1e-3, config, 0)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 3 * peaks[0], peaks
