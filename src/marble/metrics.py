@@ -1,10 +1,10 @@
 """Losses and evaluation metrics.
 
-Cross-entropy is built from differentiable primitives; the Cox negative
-partial log-likelihood (Breslow tie handling, optional l2 penalty) is one
-primitive with a closed-form backward. The descending-time tie-group
-walk that the Cox loss, the concordance index and the Cox training step
-share lives here once. The evaluation metrics (accuracy, AUC,
+Both losses are single primitives with closed-form backwards:
+cross-entropy, and the Cox negative partial log-likelihood (Breslow tie
+handling, optional l2 penalty). The descending-time tie-group walk that
+the Cox loss, the concordance index and the Cox training step share
+lives here once. The evaluation metrics (accuracy, AUC,
 concordance index) are plain numpy.
 """
 
@@ -51,18 +51,26 @@ class CoxBatch:
 
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label], in stable log-sum-exp form."""
+    """-log softmax(logits)[label] = log sum exp(x - max x) + max x - x[label].
+
+    One primitive with the closed-form backward g (softmax - onehot)."""
     if logits.data.ndim != 1:
         raise DimensionError(f"logits must be 1-D, got {logits.shape}")
     n_classes = logits.shape[0]
     if not 0 <= label < n_classes:
         raise ConfigError(f"label {label} out of range for {n_classes} classes")
-    shift = float(logits.data.max())
-    lse = nm.add_scalar(
-        nm.log(nm.tsum(nm.exp(nm.add_scalar(logits, -shift)))), shift)
-    onehot = Tensor(np.eye(n_classes)[label])
-    picked = nm.dot(logits, onehot)
-    return nm.add(lse, nm.scale(picked, -1.0))
+    x = logits.data
+    shift = float(x.max())
+    e = np.exp(x - shift)
+    total = e.sum()
+    value = np.log(total) + shift - x[label]
+
+    def backward(g):
+        grad = (g / total) * e
+        grad[label] -= g.item()
+        return (grad,)
+
+    return nm.record_primitive("cross_entropy", value, (logits,), backward)
 
 
 def descending_tie_groups(times) -> list[np.ndarray]:

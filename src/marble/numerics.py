@@ -146,10 +146,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _finish("scale", a.data * c, (a,), lambda g: (g * c,))
 
 
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    return _finish("add_scalar", a.data + c, (a,), lambda g: (g,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
@@ -178,13 +174,6 @@ def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):   # inf is caught by _finish
         out = np.exp(a.data)
     return _finish("exp", out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log of non-positive value")
-    ad = a.data
-    return _finish("log", np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-NO_PARENT = np.uint32(0xFFFFFFFF)
-
-
 @dataclass
 class LevelGrid:
     """One pyramid level's tile grid with a tissue/background mask."""

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bagdata import DatasetIndex, ManifestRecord, read_bag
+from .bagdata import DatasetIndex, ManifestRecord
 from .errors import (ConfigError, MarbleError, NumericError,
                      UndefinedMetricError)
 from .metrics import (CoxBatch, accuracy, auc_binary, auc_macro_ovr,
                       c_index, cox_loss, cross_entropy, descending_tie_groups)
 from .network import (HEAD_CLASSIFICATION, HEAD_SURVIVAL, MarbleParams,
                       encode_slide, init_marble_params)
-from .numerics import Tape, Tensor
+from .numerics import Tape, Tensor, softmax_1d
 from .pyramid import TokenBag, coarse_branch_drop, shuffle_within_levels
 
 
@@ -46,8 +46,6 @@ class TrainConfig:
     """Hyperparameters; defaults follow the training protocol."""
 
     base_lr: float = 3e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
     weight_decay: float = 1e-2
     epochs: int = 30
     warmup_epochs: int = 5
@@ -158,11 +156,10 @@ class TrainResult:
 
 
 class _BagCache:
-    """Reads bags from disk once; accepts a custom loader for in-memory
-    datasets."""
+    """Calls the bag loader once per slide."""
 
-    def __init__(self, loader=None):
-        self._loader = loader or (lambda record: read_bag(record.path))
+    def __init__(self, loader):
+        self._loader = loader
         self._cache: dict[str, TokenBag] = {}
 
     def get(self, record: ManifestRecord) -> TokenBag:
@@ -185,7 +182,7 @@ def _regularized_bag(bag: TokenBag, config: TrainConfig, epoch: int,
 
 
 def train(index: DatasetIndex, config: TrainConfig,
-          bag_loader=None, params: MarbleParams | None = None) -> TrainResult:
+          bag_loader, params: MarbleParams | None = None) -> TrainResult:
     """Full training run per the protocol; reproducible from config.seed."""
     train_recs = index.split_records("train")
     val_recs = index.split_records("val")
@@ -268,7 +265,7 @@ def _step(bag_of, chunk, params, state, lr, config, epoch) -> float:
         loss = _cox_gradient(bag_of, chunk, params, config.cox_lambda, epoch)
     clip_gradients(params.grad, config.grad_clip)
     adamw_step(params.theta, params.grad, state, lr,
-               (config.beta1, config.beta2), config.weight_decay)
+               weight_decay=config.weight_decay)
     return loss
 
 
@@ -360,24 +357,22 @@ def predict(params: MarbleParams, bags) -> np.ndarray:
 
 def _score(params: MarbleParams, bag: TokenBag):
     """One slide's class probabilities or risk score."""
-    output = encode_slide(bag, params).output.data
+    output = encode_slide(bag, params).output
     if params.head == HEAD_SURVIVAL:
         return output.item()
-    e = np.exp(output - output.max())
-    return e / e.sum()
+    return softmax_1d(output).data
 
 
 def evaluate(params: MarbleParams, records: list[ManifestRecord],
-             bag_loader=None) -> dict:
+             bag_loader) -> dict:
     """Deterministic evaluation: full bags, canonical order, no
     regularizers. Returns metrics plus per-slide predictions."""
     if not records:
         raise ConfigError("cannot evaluate on an empty split")
-    loader = bag_loader or (lambda record: read_bag(record.path))
     rows = []
     for rec in records:    # each slide loaded just before its forward pass
         with _naming(f"slide {rec.slide_id}"):
-            rows.append(_score(params, loader(rec)))
+            rows.append(_score(params, bag_loader(rec)))
     scores = np.array(rows)
     metric = _split_metric(params.head, scores, records)
     if params.head == HEAD_CLASSIFICATION:

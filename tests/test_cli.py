@@ -86,7 +86,8 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_run_config("/nonexistent/cfg.txt", [])
 
-    @pytest.mark.parametrize("item", ["batch_size=1", "n_classes=2"])
+    @pytest.mark.parametrize("item", ["batch_size=1", "n_classes=2", "beta1=0.9",
+                                      "beta2=0.999"])
     def test_removed_keys_unknown(self, tmp_path, capsys, item):
         assert main(["train", "--data", str(tmp_path / "manifest.csv"),
                      "--out", str(tmp_path / "run"), "--set", item]) == 2

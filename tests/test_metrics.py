@@ -96,6 +96,29 @@ class TestCrossEntropy:
         expected = probs - np.eye(4)[1]
         np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("logits, label", [
+        ([0.3, -1.2], 1),
+        ([0.5, 2.0, -0.7], 0),
+        ([1000.0, 999.0], 0),
+        ([1000.0, 999.0], 1),
+        ([-1e3, 0.0, 1e3], 0),
+        ([-1e3, 0.0, 1e3], 2),
+    ])
+    def test_one_node_bit_equal_to_log_sum_exp(self, logits, label):
+        x = np.array(logits)
+        shift = float(x.max())
+        e = np.exp(x - shift)
+        total = e.sum()
+        expected_grad = (1.0 / total) * e
+        expected_grad[label] -= 1.0
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            loss = cross_entropy(t, label)
+        assert len(tape.nodes) == 1
+        tape.backward(loss)
+        assert np.array_equal(loss.item(), np.log(total) + shift - x[label])
+        assert np.array_equal(t.grad, expected_grad)
+
     def test_rejects_bad_label(self):
         with pytest.raises(ConfigError):
             cross_entropy(Tensor(np.zeros(3)), 3)
