@@ -154,13 +154,32 @@ def init_marble_params(d_model: int, d_inner: int, d_state: int,
     return params
 
 
-def fuse_level(x_k: Tensor, y_prev: Tensor, parents, fuse_w: Tensor,
+def fuse_level(x_k: np.ndarray, y_prev: Tensor, parents, fuse_w: Tensor,
                fuse_b: Tensor) -> Tensor:
-    """Augment fine tokens with their parent's encoded embedding:
-    project the concatenation [x_i || y_prev[parents[i]]] back to D."""
-    context = nm.gather_rows(y_prev, parents)
-    joined = nm.concat_last_dim(x_k, context)
-    return nm.affine(joined, fuse_w, fuse_b)
+    """Augment fine tokens with their parent's encoded embedding: project
+    [x_i || y_prev[parents[i]]] back to D, as one node. `x_k` is the
+    level's embeddings as stored (float32 or float64); backward rebuilds
+    the float64 concatenation, and duplicate parents accumulate."""
+    xd, yd, wd, bd = np.asarray(x_k), y_prev.data, fuse_w.data, fuse_b.data
+    idx = np.asarray(parents, dtype=np.int64)
+    if xd.ndim != 2 or yd.ndim != 2 or idx.shape != xd.shape[:1] \
+            or bd.ndim != 1 or wd.shape != (xd.shape[1] + yd.shape[1], bd.size) \
+            or idx.size and (idx.min() < 0 or idx.max() >= yd.shape[0]):
+        raise DimensionError(
+            f"fuse_level: tokens {xd.shape}, parents {idx.shape} into parent "
+            f"rows {yd.shape}, weight {wd.shape} and bias {bd.shape} disagree")
+
+    joined = lambda: np.concatenate([xd, yd[idx]], axis=1, dtype=np.float64)
+    out = joined() @ wd
+    out += bd
+
+    def backward(g):
+        gy = np.zeros_like(yd)
+        np.add.at(gy, idx, (g @ wd.T)[:, xd.shape[1]:])
+        return (gy, joined().T @ g, g.sum(axis=0))
+
+    return nm.record_primitive("fuse_level", out, (y_prev, fuse_w, fuse_b),
+                               backward)
 
 
 def attention_pool(y: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
@@ -198,9 +217,10 @@ def encode_slide(bag: TokenBag, params: MarbleParams) -> SlideOutput:
             raise DimensionError(
                 f"level {k} embedding dim {level.embeddings.shape[1]} != "
                 f"model dim {params.d_model}")
-        x = Tensor(level.embeddings)      # the one widening to float64
-        if k > 0:
-            x = fuse_level(x, y_prev, level.parents,
+        if k == 0:
+            x = Tensor(level.embeddings)  # widened to float64 here; finer
+        else:                             # levels widen inside fuse_level
+            x = fuse_level(level.embeddings, y_prev, level.parents,
                            params.fuse_w[k - 1], params.fuse_b[k - 1])
         y_prev = ssm_block_forward(x, params.blocks[k])
         encoded.append(y_prev)

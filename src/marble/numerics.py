@@ -32,10 +32,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise DimensionError(f"item() needs a scalar, got shape {self.shape}")
@@ -156,96 +152,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                    lambda g: (g @ bd.T, ad.T @ g))
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for (T, K) x, (K, M) w and (M,) b, as one node: the bias
-    is added in place, so no pre-bias product is kept."""
-    xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] \
-            or b.shape != (wd.shape[1],):
-        raise DimensionError(
-            f"affine: shapes {x.shape} x {w.shape} + {b.shape} disagree")
-    out = xd @ wd
-    out += b.data
-    return _finish("affine", out, (x, w, b),
-                   lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
-
-
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):   # inf is caught by _finish
         out = np.exp(a.data)
     return _finish("exp", out, (a,), lambda g: (g * out,))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x) built in one new buffer."""
-    s = np.negative(x)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + e^-x) built in one new buffer, or in `out` (may be x)."""
+    s = np.negative(x, out=out)
     with np.errstate(over="ignore"):   # e^-x -> inf gives sigmoid 0
         np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^a) = max(a, 0) + log1p(e^-|a|), floored at the smallest
-    normal float64 so the result stays strictly positive where it would
-    underflow to 0; the gradient there is already ~0. The sigmoid is only
-    built in backward, so evaluation and the tape never hold it."""
-    ad = a.data
-    out = np.abs(ad)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += np.maximum(ad, 0.0)
-    np.maximum(out, np.finfo(np.float64).tiny, out=out)
-
-    def backward(g):
-        sig = _sigmoid(ad)
-        sig *= g
-        return (sig,)
-
-    return _finish("softplus", out, (a,), backward)
-
-
-def silu(a: Tensor) -> Tensor:
-    """x sigmoid(x); the tape keeps only x and backward rebuilds the
-    sigmoid, as softplus does."""
-    ad = a.data
-    out = _sigmoid(ad)
-    out *= ad
-
-    def backward(g):
-        sig = _sigmoid(ad)
-        return (g * (sig * (1.0 + ad * (1.0 - sig))),)
-
-    return _finish("silu", out, (a,), backward)
-
-
-def concat_last_dim(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise DimensionError(
-            f"concat_last_dim needs 2-D with equal rows, got {a.shape} and {b.shape}")
-    split = a.shape[1]
-    return _finish("concat_last_dim", np.concatenate([a.data, b.data], axis=1),
-                   (a, b), lambda g: (g[:, :split], g[:, split:]))
-
-
-def gather_rows(a: Tensor, indices) -> Tensor:
-    """Row gather with scatter-add backward (duplicate indices accumulate)."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"gather_rows needs a 2-D tensor, got {a.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise DimensionError("gather_rows needs a flat index list")
-    rows = a.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise DimensionError(f"gather_rows: index out of range for {rows} rows")
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
-
-    return _finish("gather_rows", a.data[idx], (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -8,10 +8,11 @@ fixed chunks with only the state recursion in the Python loop; in
 gradient mode it keeps only each chunk's start state beside its operands
 and output, (T / 16) E N floats, and backward recomputes each chunk's
 decays, injections and states from it, so no (T, E, N) array and no
-(T, E) intermediate is stored. A naive O(T^2) materialization of the same
-recurrence (`reference_scan`) serves as the correctness oracle, and a
-plain quadratic self-attention layer is kept around as the benchmark
-foil.
+(T, E) intermediate is stored. The step size and the gated residual are
+one tape node each, keeping only u, x and s and rebuilding the rest in
+backward. A naive O(T^2) materialization of the same recurrence
+(`reference_scan`) serves as the correctness oracle, and a plain
+quadratic self-attention layer is kept around as the benchmark foil.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .numerics import Tensor
 
 # scan steps per chunk; a (_CHUNK, E, N) state buffer at E=128, N=16 is
@@ -231,19 +232,79 @@ def reference_scan(u, delta, b, c, a, d) -> np.ndarray:
     return y
 
 
+def step_size(u: Tensor, w_delta: Tensor, b_delta: Tensor) -> Tensor:
+    """delta = softplus(u @ w_delta + b_delta) as one node, floored at the
+    smallest normal float64 where it would underflow to 0. The tape keeps
+    only u; backward rebuilds the pre-activation and its sigmoid in place."""
+    ud, wd, bd = u.data, w_delta.data, b_delta.data
+    pre = ud @ wd
+    pre += bd
+    if not np.isfinite(pre).all():     # softplus(-inf) would pass as tiny
+        raise NumericError("step_size")
+    out = np.negative(np.abs(pre))
+    np.log1p(np.exp(out, out=out), out=out)
+    out += np.maximum(pre, 0.0, out=pre)
+    np.maximum(out, np.finfo(np.float64).tiny, out=out)
+
+    def backward(g):
+        sig = ud @ wd
+        sig += bd
+        nm._sigmoid(sig, out=sig)
+        sig *= g
+        return (sig @ wd.T, ud.T @ sig, sig.sum(axis=0))
+
+    return nm.record_primitive("step_size", out, (u, w_delta, b_delta),
+                               backward)
+
+
+def gated_residual(x: Tensor, s: Tensor, w_gate: Tensor,
+                   w_out: Tensor) -> Tensor:
+    """x + (s * silu(x @ w_gate)) @ w_out as one node. The tape keeps only
+    x and s; backward rebuilds z = x @ w_gate, its sigmoid and silu, in
+    three (T, E) buffers reused in place."""
+    xd, sd, wg, wo = x.data, s.data, w_gate.data, w_out.data
+    z = xd @ wg
+    m = nm._sigmoid(z)
+    m *= z                             # silu(z)
+    m *= sd
+    out = m @ wo
+    out += xd
+
+    def backward(g):
+        silu = xd @ wg                 # z for now
+        sig = nm._sigmoid(silu)
+        dsilu = np.subtract(1.0, sig)  # silu'(z) = sig (1 + z (1 - sig))
+        dsilu *= silu
+        dsilu += 1.0
+        dsilu *= sig
+        silu *= sig
+        g_wo = np.multiply(sd, silu, out=sig).T @ g
+        g_m = np.matmul(g, wo.T, out=sig)
+        silu *= g_m                    # d loss / d s
+        g_m *= sd
+        g_m *= dsilu                   # d loss / d z
+        del dsilu
+        g_x = g_m @ wg.T + g if x.requires_grad else None
+        return (g_x, silu, xd.T @ g_m, g_wo)
+
+    return nm.record_primitive("gated_residual", out, (x, s, w_gate, w_out),
+                               backward)
+
+
 def ssm_block_forward(x: Tensor, p: SsmBlockParams) -> Tensor:
     """One residual selective-SSM block applied to a (T, D) sequence."""
     if x.data.ndim != 2 or x.shape[0] < 1:
         raise DimensionError(f"ssm_block_forward needs (T, D), got {x.shape}")
+    want = block_shapes(x.shape[1], p.d_inner, p.d_state)
+    if any(t.shape != want[name] for name, t in p.named()):
+        raise DimensionError(f"block parameters do not fit a {x.shape} input")
     u = nm.matmul(x, p.w_in)
-    z = nm.matmul(x, p.w_gate)
-    delta = nm.softplus(nm.affine(u, p.w_delta, p.b_delta))
+    delta = step_size(u, p.w_delta, p.b_delta)
     b = nm.matmul(u, p.w_b)
     c = nm.matmul(u, p.w_c)
     a = nm.scale(nm.exp(p.a_log), -1.0)
     s = selective_scan(u, delta, b, c, a, p.d_skip)
-    o = nm.matmul(nm.mul(s, nm.silu(z)), p.w_out)
-    return nm.add(x, o)
+    return gated_residual(x, s, p.w_gate, p.w_out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 from marble import numerics as nm
 from marble.bagdata import SynthSpec, generate_slide
-from marble.errors import ConfigError, DimensionError, FormatError
+from marble.errors import ConfigError, DimensionError, FormatError, NumericError
+from marble.metrics import cross_entropy
 from marble.network import (HEAD_CLASSIFICATION, HEAD_SURVIVAL, MarbleParams,
                             attention_pool, classify, encode_slide,
                             fuse_level, init_marble_params, load_checkpoint,
@@ -164,10 +165,43 @@ class TestFusionAndPooling:
         parents = np.array([0, 0, 1, 1])
         w = Tensor(rng.normal(size=(6, 3)))
         b = Tensor(rng.normal(size=3))
-        out = fuse_level(x, y_prev, parents, w, b)
+        out = fuse_level(x.data, y_prev, parents, w, b)
         expected = np.concatenate(
             [x.data, y_prev.data[parents]], axis=1) @ w.data + b.data
         np.testing.assert_allclose(out.data, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("parents", [[1, 0, 1, 1, 2, 0], [2]],
+                             ids=["duplicate-parents", "one-token"])
+    def test_fuse_matches_the_composite_bit_for_bit(self, parents):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(len(parents), 4)).astype(np.float32)
+        y_prev = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        g = rng.normal(size=(len(parents), 4))
+        with Tape() as tape:
+            out = fuse_level(x, y_prev, parents, w, b)
+            tape.backward(nm.tsum(nm.mul(out, Tensor(g))))
+        # gather, concatenate and affine map as separate steps
+        joined = np.concatenate([x.astype(np.float64), y_prev.data[parents]],
+                                axis=1)
+        want_gy = np.zeros((3, 4))
+        np.add.at(want_gy, parents, (g @ w.data.T)[:, 4:])
+        assert np.array_equal(out.data, joined @ w.data + b.data)
+        assert np.array_equal(y_prev.grad, want_gy)
+        assert np.array_equal(w.grad, joined.T @ g)
+        assert np.array_equal(b.grad, g.sum(axis=0))
+
+    def test_fuse_gradients(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(5, 3)).astype(np.float32)
+        leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in [(2, 3), (6, 3), (3,)]]
+        g = Tensor(rng.normal(size=(5, 3)))
+        err = nm.finite_diff_check(lambda: nm.tsum(nm.mul(
+            fuse_level(x, leaves[0], [1, 1, 0, 1, 0], *leaves[1:]), g)),
+            leaves)
+        assert err <= 1e-4
 
     def test_pool_weights_sum_to_one(self):
         rng = np.random.default_rng(4)
@@ -272,6 +306,48 @@ class TestEncodeSlide:
                          out.pool_weights.data.tobytes(),
                          params.grad.tobytes()))
         assert runs[0] == runs[1]
+
+    def test_nan_in_a_fine_level_fails_in_the_fusion(self):
+        rng = np.random.default_rng(15)
+        bag = small_bag(rng)
+        bag.levels[1].embeddings[3, 2] = np.nan
+        params = init_marble_params(8, 16, 4, 2, HEAD_CLASSIFICATION, 2, rng)
+        with pytest.raises(NumericError) as exc:
+            encode_slide(bag, params)
+        assert exc.value.op == "fuse_level"
+
+    def test_two_level_slide_records_29_nodes(self):
+        # 8 per block (4 projections and step size, decay, scan, gate), 1
+        # fusion, 7 pooling, 4 head and 1 loss
+        rng = np.random.default_rng(16)
+        bag = small_bag(rng)
+        params = init_marble_params(8, 16, 4, 2, HEAD_CLASSIFICATION, 2, rng)
+        with Tape() as tape:
+            cross_entropy(encode_slide(bag, params).output, 1)
+        assert len(tape.nodes) == 29
+
+    def test_tape_keeps_only_what_backward_reads(self):
+        # bytes held after a 3-level training forward, and at the peak of
+        # its backward, in units of one (T, E) float64 array over all
+        # levels; the bag is float32 as stored
+        rng = np.random.default_rng(18)
+        bag = small_bag(rng, d_model=32, coarse=(8, 8), levels=3)
+        bag = TokenBag([replace(lv, embeddings=lv.embeddings.astype(
+            np.float32)) for lv in bag.levels])
+        params = init_marble_params(32, 64, 8, 3, HEAD_CLASSIFICATION, 2, rng)
+        unit = sum(bag.token_counts()) * 64 * 8
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = cross_entropy(encode_slide(bag, params).output, 1)
+                kept, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                tape.backward(loss)
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 6.0 * unit
+        assert peak <= 9.5 * unit
 
     def test_full_model_gradient(self):
         rng = np.random.default_rng(12)

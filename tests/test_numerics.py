@@ -5,7 +5,9 @@ import pytest
 
 import marble.numerics as nm
 from marble.errors import DimensionError, DomainError, NumericError
+from marble.network import fuse_level
 from marble.numerics import Tape, Tensor
+from marble.ssmcore import gated_residual, step_size
 
 
 def rand_tensor(rng, shape, requires_grad=True):
@@ -34,19 +36,44 @@ class TestMatmul:
         assert err < 1e-6
 
 
+def softplus(x: Tensor) -> Tensor:
+    """softplus through the step-size node: identity w_delta, zero bias."""
+    e_dim = x.shape[1]
+    return step_size(x, Tensor(np.eye(e_dim)), Tensor(np.zeros(e_dim)))
+
+
+def silu_residual(z: Tensor) -> Tensor:
+    """z + silu(z) through the gate node: identity gate and out maps, s = 1
+    (each product with the identity is exact)."""
+    eye = Tensor(np.eye(z.shape[1]))
+    return gated_residual(z, Tensor(np.ones(z.shape)), eye, eye)
+
+
+def parent_rows(y_prev: Tensor, parents) -> Tensor:
+    """y_prev[parents] through the fusion node: zero tokens and a [0; I]
+    weight, so each output row is exactly its parent's row."""
+    d_model = y_prev.shape[1]
+    w = np.vstack([np.zeros((d_model, d_model)), np.eye(d_model)])
+    return fuse_level(np.zeros((len(parents), d_model)), y_prev, parents,
+                      Tensor(w), Tensor(np.zeros(d_model)))
+
+
 class TestElementwise:
+    # softplus, silu, the row gather and the affine map live inside the
+    # fused step-size, gate and fusion nodes; these tests drive them there
+
     def test_silu_at_zero(self):
-        assert nm.silu(Tensor([0.0])).data[0] == 0.0
+        assert silu_residual(Tensor([[0.0]])).data[0, 0] == 0.0
 
     def test_softplus_at_zero(self):
-        assert nm.softplus(Tensor([0.0])).data[0] == pytest.approx(
+        assert softplus(Tensor([[0.0]])).data[0, 0] == pytest.approx(
             np.log(2.0), abs=1e-12)
 
     def test_softplus_matches_logaddexp(self):
         tiny = np.finfo(np.float64).tiny
         x = np.r_[np.linspace(-800.0, 800.0, 20_001),
                   0.0, 1e-300, -1e-300, -745.0, 36.0, 710.0]
-        out = nm.softplus(Tensor(x)).data
+        out = softplus(Tensor(x[:, None])).data[:, 0]
         want = np.logaddexp(0.0, x)
         normal = want >= tiny
         assert normal.any() and not normal.all()
@@ -57,32 +84,34 @@ class TestElementwise:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_softplus_rejects_non_finite(self, bad):
         with pytest.raises(NumericError) as exc:
-            nm.softplus(Tensor([0.0, bad]))
-        assert "softplus" in str(exc.value)
+            softplus(Tensor([[0.0], [bad]]))
+        assert "step_size" in str(exc.value)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_softplus_gradient_saturates_exactly(self):
-        x = Tensor([-800.0, 800.0], requires_grad=True)
+        x = Tensor([[-800.0], [800.0]], requires_grad=True)
         with Tape() as tape:
-            tape.backward(nm.tsum(nm.softplus(x)))
-        assert np.array_equal(x.grad, [0.0, 1.0])
+            tape.backward(nm.tsum(softplus(x)))
+        assert np.array_equal(x.grad, [[0.0], [1.0]])
 
     def test_silu_matches_sigmoid_product(self):
-        x = np.random.default_rng(4).standard_normal(1000) * 20
-        assert np.array_equal(nm.silu(Tensor(x)).data,
-                              x * (1.0 / (1.0 + np.exp(-x))))
+        x = np.random.default_rng(4).standard_normal((1000, 1)) * 20
+        assert np.array_equal(silu_residual(Tensor(x)).data,
+                              x + x * (1.0 / (1.0 + np.exp(-x))))
 
     def test_gather_rows_forward_and_backward(self):
         x = Tensor([[1.0], [2.0], [3.0]], requires_grad=True)
         with Tape() as tape:
-            out = nm.gather_rows(x, [2, 0, 2])
+            out = parent_rows(x, [2, 0, 2])
             tape.backward(nm.tsum(out))
         assert np.array_equal(out.data, [[3.0], [1.0], [3.0]])
         assert np.array_equal(x.grad, [[1.0], [0.0], [2.0]])
 
     def test_gather_rows_index_error(self):
         with pytest.raises(DimensionError):
-            nm.gather_rows(Tensor([[1.0], [2.0]]), [0, 2])
+            parent_rows(Tensor([[1.0], [2.0]]), [0, 2])
+        with pytest.raises(DimensionError):
+            parent_rows(Tensor([[1.0], [2.0]]), [-1, 0])
 
     def test_gather_backward_conserves_mass(self):
         rng = np.random.default_rng(3)
@@ -90,12 +119,15 @@ class TestElementwise:
         idx = rng.integers(0, 5, size=11)
         g_in = rng.standard_normal((11, 3))
         with Tape() as tape:
-            out = nm.gather_rows(x, idx)
+            out = parent_rows(x, idx)
             loss = nm.tsum(nm.mul(out, Tensor(g_in)))
             tape.backward(loss)
         assert x.grad.sum() == pytest.approx(g_in.sum(), rel=1e-12)
 
-    @pytest.mark.parametrize("op", [nm.exp, nm.softplus, nm.silu])
+    @pytest.mark.parametrize("op", [
+        pytest.param(nm.exp, id="exp"),
+        pytest.param(softplus, id="softplus"),
+        pytest.param(silu_residual, id="silu")])
     def test_unary_gradients(self, op):
         rng = np.random.default_rng(7)
         x = rand_tensor(rng, (4, 3))
@@ -107,22 +139,21 @@ class TestElementwise:
         a = rand_tensor(rng, (3, 2))
         b = rand_tensor(rng, (3, 2))
         w = rand_tensor(rng, (2, 2))
-        bias = rand_tensor(rng, (2,))
         for f in (lambda: nm.tsum(nm.mul(a, b)),
                   lambda: nm.tsum(nm.add(a, b)),
-                  lambda: nm.tsum(nm.mul(nm.affine(a, w, bias), b)),
-                  lambda: nm.tsum(nm.concat_last_dim(a, b)),
+                  lambda: nm.tsum(nm.mul(nm.matmul(a, w), b)),
                   lambda: nm.dot(nm.reshape(a, (6,)), nm.reshape(b, (6,)))):
-            assert nm.finite_diff_check(f, [a, b, w, bias]) < 1e-6
+            assert nm.finite_diff_check(f, [a, b, w]) < 1e-6
 
     def test_affine_matches_product_plus_bias(self):
         rng = np.random.default_rng(10)
-        x, w = rng.standard_normal((6, 3)), rng.standard_normal((3, 4))
-        bias = rng.standard_normal(4)
-        out = nm.affine(Tensor(x), Tensor(w), Tensor(bias)).data
-        assert np.array_equal(out, x @ w + bias)
+        x, y = rng.standard_normal((6, 3)), rng.standard_normal((2, 2))
+        w, bias = rng.standard_normal((5, 4)), rng.standard_normal(4)
+        parents = [0, 1, 1, 0, 1, 0]
+        out = fuse_level(x, Tensor(y), parents, Tensor(w), Tensor(bias)).data
+        assert np.array_equal(out, np.hstack([x, y[parents]]) @ w + bias)
         with pytest.raises(DimensionError):
-            nm.affine(Tensor(x), Tensor(w), Tensor(np.zeros(3)))
+            fuse_level(x, Tensor(y), parents, Tensor(w), Tensor(np.zeros(3)))
 
     def test_add_needs_equal_shapes(self):
         with pytest.raises(DimensionError):
@@ -189,7 +220,7 @@ class TestBackward:
             a = rand_tensor(rng, (4, 4))
             b = rand_tensor(rng, (4, 4))
             with Tape() as tape:
-                loss = nm.tsum(nm.silu(nm.matmul(a, b)))
+                loss = nm.tsum(nm.exp(nm.matmul(a, b)))
                 tape.backward(loss)
             return loss.item(), a.grad.copy(), b.grad.copy()
 
@@ -202,7 +233,7 @@ class TestBackward:
         rng = np.random.default_rng(13)
         a, b = rand_tensor(rng, (4, 4)), rand_tensor(rng, (4, 4))
         with Tape() as tape:
-            loss = nm.tsum(nm.silu(nm.matmul(a, b)))
+            loss = nm.tsum(nm.exp(nm.matmul(a, b)))
             recorded = len(tape.nodes)
             tape.backward(loss)
         assert recorded == 3
@@ -223,7 +254,7 @@ class TestBackward:
 
         with Tape() as tape:
             first = nm.record_primitive("probe", x.data.copy(), [x], probe)
-            hidden = nm.exp(nm.silu(first))
+            hidden = nm.exp(nm.exp(first))
             late = weakref.ref(hidden.data)
             loss = nm.tsum(hidden)
             del hidden
@@ -242,9 +273,9 @@ class TestFiniteDiffCheck:
         assert nm.finite_diff_check(lambda: nm.mul(x, x), [x]) < 1e-9
 
     def test_softplus_derivative_is_half_at_zero(self):
-        x = Tensor(0.0, requires_grad=True)
+        x = Tensor([[0.0]], requires_grad=True)
         with Tape() as tape:
-            tape.backward(nm.softplus(x))
+            tape.backward(softplus(x))
         assert x.grad.reshape(()).item() == pytest.approx(0.5, abs=1e-12)
 
     def test_bad_eps(self):
