@@ -86,29 +86,25 @@ def _coerce(key: str, raw: str):
 
 def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
     """Plain-text key=value config ('#' comments); unknown keys rejected."""
-    values: dict = {}
+    items = []
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in _FIELD_TYPES:
-                    raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-                values[key] = _coerce(key, raw)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got '{item}'")
-        key, raw = (part.strip() for part in item.split("=", 1))
+            items = [(f"{path}:{lineno}", text)
+                     for lineno, line in enumerate(fh, start=1)
+                     if (text := line.split("#", 1)[0].strip())]
+    values: dict = {}
+    for where, item in items + [("--set", item) for item in overrides]:
+        key, eq, raw = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise ConfigError(f"{where}: expected key=value, got '{item}'")
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"--set: unknown key '{key}'")
+            raise ConfigError(f"{where}: unknown key '{key}'")
         values[key] = _coerce(key, raw)
     config = RunConfig(**values)
+    if config.repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {config.repeats}")
     # fail fast on values the dataclasses validate lazily
     config.synth_spec()
     TrainConfig(**{key: getattr(config, key) for key in _TRAIN_KEYS})

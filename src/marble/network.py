@@ -29,7 +29,7 @@ _HEAD_TAGS = {HEAD_CLASSIFICATION: 0, HEAD_SURVIVAL: 1}
 _TAG_HEADS = {v: k for k, v in _HEAD_TAGS.items()}
 
 CHECKPOINT_MAGIC = b"MRBL"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class MarbleParams:
@@ -234,95 +234,56 @@ def encode_slide(bag: TokenBag, params: MarbleParams) -> SlideOutput:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic "MRBL", version u16, head tag u8, level count
-# u8, record count u32, then per record: name (u16 length + utf-8),
-# ndim u8, dims u32..., float64 payload. Little-endian throughout. The
-# record shapes carry the model dimensions: block0.w_in is (D, E),
-# block0.w_b is (E, N), cls_w is (C, D).
+# checkpoint format, little-endian: a 24-byte header (magic "MRBL", version
+# u16, head tag u8, level count u8, then D, E, N and C as u32, C being 0 for
+# a survival model), then theta as float64, laid out by `param_shapes`.
+
+_HEADER = struct.Struct("<4sHBBIIII")
 
 
 def save_checkpoint(params: MarbleParams, path: str) -> None:
-    named = params.named_params()
+    block = params.blocks[0]
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HBB", CHECKPOINT_VERSION,
-                             _HEAD_TAGS[params.head], params.n_levels))
-        fh.write(struct.pack("<I", len(named)))
-        for name, tensor in named:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", tensor.data.ndim))
-            for dim in tensor.data.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(tensor.data,
-                                          dtype="<f8").tobytes())
+        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                              _HEAD_TAGS[params.head], params.n_levels,
+                              params.d_model, block.d_inner, block.d_state,
+                              params.n_classes))
+        fh.write(params.theta.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> MarbleParams:
     with open(path, "rb") as fh:
         blob = fh.read()
-    off = 0
-
-    def need(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise FormatError(f"checkpoint truncated at offset {off} ({what})")
-        piece = blob[off:off + n]
-        off += n
-        return piece
-
-    if need(4, "magic") != CHECKPOINT_MAGIC:
+    if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError("bad checkpoint magic at offset 0")
-    version, head_tag, n_levels = struct.unpack("<HBB", need(4, "header"))
+    if len(blob) < _HEADER.size:
+        raise FormatError(f"checkpoint truncated at offset {len(blob)}")
+    _, version, tag, n_levels, *dims, n_classes = _HEADER.unpack_from(blob)
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    if head_tag not in _TAG_HEADS:
-        raise FormatError(f"unknown head tag {head_tag}")
-    (n_records,) = struct.unpack("<I", need(4, "record count"))
-    records: dict[str, tuple[tuple[int, ...], bytes]] = {}
-    for _ in range(n_records):
-        (name_len,) = struct.unpack("<H", need(2, "name length"))
-        try:
-            name = need(name_len, "name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"record name at offset {off - name_len} is "
-                              f"not valid UTF-8") from exc
-        (ndim,) = struct.unpack("<B", need(1, "ndim"))
-        shape = tuple(struct.unpack("<I", need(4, "dim"))[0]
-                      for _ in range(ndim))
-        if 0 in shape:
-            raise FormatError(f"record '{name}' has a zero dimension "
-                              f"(offset {off})")
-        records[name] = (shape, need(8 * math.prod(shape), f"payload of {name}"))
-    if off != len(blob):
-        raise FormatError(f"{len(blob) - off} bytes after the last record "
-                          f"at offset {off}")
-    head = _TAG_HEADS[head_tag]
+        raise FormatError(f"unsupported checkpoint version {version} at "
+                          f"offset 4")
+    if tag not in _TAG_HEADS:
+        raise FormatError(f"unknown head tag {tag} at offset 6")
+    if 0 in dims:
+        raise FormatError(f"zero dimension at offset {8 + 4 * dims.index(0)}")
+    head = _TAG_HEADS[tag]
+    if head == HEAD_SURVIVAL and n_classes:
+        raise FormatError(f"survival model with C = {n_classes} at offset 20")
+    # the file's size is checked before anything of the model's is built
+    size = sum(math.prod(shape) for _, shape in
+               param_shapes(*dims, n_levels, head, n_classes))
+    end = _HEADER.size + 8 * size
+    if len(blob) != end:
+        raise FormatError(
+            f"checkpoint truncated at offset {len(blob)} (theta ends at {end})"
+            if len(blob) < end else
+            f"{len(blob) - end} bytes after the last record at offset {end}")
+    theta = np.frombuffer(blob, "<f8", size, _HEADER.size).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise FormatError(f"non-finite parameter at offset "
+                          f"{_HEADER.size + 8 * bad[0]}")
     try:
-        d_model, d_inner = records["block0.w_in"][0]
-        _, d_state = records["block0.w_b"][0]
-        n_classes = (records["cls_w"][0][0] if head == HEAD_CLASSIFICATION
-                     else 2)
-        # check every record against the model before allocating it
-        expected = param_shapes(d_model, d_inner, d_state, n_levels, head,
-                                n_classes)
-        if n_records != len(expected):
-            raise FormatError(f"checkpoint has {n_records} records, a model "
-                              f"of its dimensions has {len(expected)}")
-        for name, shape in expected:
-            if name not in records:
-                raise FormatError(f"checkpoint missing parameter '{name}'")
-            if records[name][0] != shape:
-                raise FormatError(f"parameter '{name}' has shape "
-                                  f"{records[name][0]}, expected {shape}")
-        params = MarbleParams(d_model, d_inner, d_state, n_levels, head,
-                              n_classes)
-    except (KeyError, IndexError, ValueError, ConfigError) as exc:
-        raise FormatError(f"checkpoint dimensions unreadable: {exc!r}") from exc
-    for name, tensor in params.named_params():
-        shape, payload = records[name]
-        tensor.data[...] = np.frombuffer(payload, dtype="<f8").reshape(shape)
-        if not np.isfinite(tensor.data).all():
-            raise FormatError(f"parameter '{name}' has non-finite values")
-    return params
+        return MarbleParams(*dims, n_levels, head, n_classes, theta=theta)
+    except ConfigError as exc:
+        raise FormatError(f"{exc} (checkpoint header at offset 0)") from exc

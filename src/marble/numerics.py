@@ -149,7 +149,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
     return _finish("matmul", ad @ bd, (a, b),
-                   lambda g: (g @ bd.T, ad.T @ g))
+                   lambda g: (g @ bd.T if a.requires_grad else None,
+                              ad.T @ g if b.requires_grad else None))
 
 
 def exp(a: Tensor) -> Tensor:

@@ -74,6 +74,9 @@ class TrainConfig:
             raise ConfigError(f"cox_chunk must be at least 1, got {self.cox_chunk}")
         if self.cox_lambda < 0:
             raise ConfigError(f"cox_lambda must be non-negative, got {self.cox_lambda}")
+        if self.d_state < 1 or self.d_inner < 0:
+            raise ConfigError(f"need d_state >= 1 and d_inner >= 0, got "
+                              f"{self.d_state} and {self.d_inner}")
         if self.d_inner == 0:
             self.d_inner = 2 * self.d_model
 
@@ -155,21 +158,6 @@ class TrainResult:
     reports: list[EpochReport]
 
 
-class _BagCache:
-    """Calls the bag loader once per slide."""
-
-    def __init__(self, loader):
-        self._loader = loader
-        self._cache: dict[str, TokenBag] = {}
-
-    def get(self, record: ManifestRecord) -> TokenBag:
-        bag = self._cache.get(record.slide_id)
-        if bag is None:
-            bag = self._loader(record)
-            self._cache[record.slide_id] = bag
-        return bag
-
-
 def _regularized_bag(bag: TokenBag, config: TrainConfig, epoch: int,
                      position: int) -> TokenBag:
     if config.drop_alpha > 0.0 and bag.n_levels > 0:
@@ -194,7 +182,13 @@ def train(index: DatasetIndex, config: TrainConfig,
         raise ConfigError(f"config head '{config.head}' does not match "
                           f"dataset task '{index.task}'")
     check_scorable("val", val_recs, config)
-    cache = _BagCache(bag_loader)
+    cache: dict[str, TokenBag] = {}
+
+    def cached(record: ManifestRecord) -> TokenBag:   # each bag read once
+        if record.slide_id not in cache:
+            cache[record.slide_id] = bag_loader(record)
+        return cache[record.slide_id]
+
     if params is None:
         params = init_marble_params(
             config.d_model, config.d_inner, config.d_state, config.n_levels,
@@ -216,14 +210,14 @@ def train(index: DatasetIndex, config: TrainConfig,
         losses: list[float] = []
         for start in range(0, len(order), step):
             chunk = [train_recs[i] for i in order[start:start + step]]
-            bags = [cache.get(rec) for rec in chunk]
+            bags = [cached(rec) for rec in chunk]
             losses.append(_step(
                 lambda j: _regularized_bag(bags[j], config, epoch, start + j),
                 chunk, params, state, lr, config, epoch))
         train_loss = float(np.mean(losses)) if losses else 0.0
 
         val_metric = evaluate(params, val_recs,
-                              bag_loader=cache.get)[METRIC[index.task]]
+                              bag_loader=cached)[METRIC[index.task]]
         improved = val_metric > best_metric
         if improved:
             best_metric = val_metric

@@ -86,6 +86,37 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_run_config("/nonexistent/cfg.txt", [])
 
+    @pytest.mark.parametrize("line,overrides,message", [
+        ("n_slides 10", [], "cfg.txt:2: expected key=value, got 'n_slides 10'"),
+        ("", ["epochs"], "--set: expected key=value, got 'epochs'"),
+        ("nslides=10", [], "cfg.txt:2: unknown key 'nslides'"),
+        ("", ["nslides=1"], "--set: unknown key 'nslides'"),
+    ])
+    def test_bad_item_names_its_place(self, tmp_path, line, overrides, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"# comment\n{line}\n")
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(str(path), overrides)
+
+    @pytest.mark.parametrize("command", ["train", "sweep-alpha",
+                                         "ablate-scales"])
+    def test_zero_repeats_rejected(self, dataset, tmp_path, capsys, command):
+        out = str(tmp_path / "run")
+        assert main([command, "--data", os.path.join(dataset, "manifest.csv"),
+                     "--out", out, "--set", "repeats=0"]) == 2
+        assert "repeats must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("item", ["d_state=0", "d_inner=-4"])
+    def test_model_dims_rejected_before_output(self, dataset, tmp_path,
+                                               capsys, item):
+        # d_state=0 used to train and write a checkpoint the reader refuses
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", os.path.join(dataset, "manifest.csv"),
+                     "--out", out] + SHORT + ["--set", item]) == 2
+        assert "d_state >= 1 and d_inner >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("item", ["batch_size=1", "n_classes=2", "beta1=0.9",
                                       "beta2=0.999"])
     def test_removed_keys_unknown(self, tmp_path, capsys, item):

@@ -438,8 +438,15 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("offset,raw,message", [
-        (14, b"\xff", "not valid UTF-8"),          # first record's name
-        (26, struct.pack("<I", 0), "zero dimension"),  # its first dim
+        (8, struct.pack("<I", 0), "zero dimension at offset 8"),   # D
+        # versions 1 and 2 share magic and version field, so this is how
+        # a version-1 file starts
+        (4, struct.pack("<H", 1), "unsupported checkpoint version 1 at "
+                                  "offset 4$"),
+        (6, b"\x07", "unknown head tag 7 at offset 6$"),
+        (20, struct.pack("<I", 3), "C = 3 at offset 20$"),         # survival
+        (24 + 8 * 37, struct.pack("<d", np.nan), f"offset {24 + 8 * 37}$"),
+        (24 + 8 * 5, struct.pack("<d", -np.inf), f"offset {24 + 8 * 5}$"),
     ])
     def test_corrupt_record_header(self, tmp_path, offset, raw, message):
         rng = np.random.default_rng(20)
@@ -447,10 +454,45 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(params, path)
         blob = bytearray(open(path, "rb").read())
-        assert blob[14:25] == b"block0.w_in"
         blob[offset:offset + len(raw)] = raw
         open(path, "wb").write(bytes(blob))
         with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("head,n_classes,levels", [
+        (HEAD_SURVIVAL, 0, 1), (HEAD_SURVIVAL, 2, 3),
+        (HEAD_CLASSIFICATION, 2, 1), (HEAD_CLASSIFICATION, 4, 3),
+    ])
+    def test_header_carries_every_dimension(self, tmp_path, head, n_classes,
+                                            levels):
+        params = init_marble_params(8, 12, 4, levels, head, n_classes,
+                                    np.random.default_rng(22))
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(params, path)
+        blob = open(path, "rb").read()
+        c = n_classes if head == HEAD_CLASSIFICATION else 0
+        assert struct.unpack_from("<IIII", blob, 8) == (8, 12, 4, c)
+        assert len(blob) == 24 + 8 * params.theta.size
+        loaded = load_checkpoint(path)
+        assert (loaded.head, loaded.d_model, loaded.blocks[0].d_inner,
+                loaded.blocks[0].d_state, loaded.n_levels,
+                loaded.n_classes) == (head, 8, 12, 4, levels, c)
+        assert np.array_equal(loaded.theta, params.theta)
+
+    @pytest.mark.parametrize("levels,n_classes,message", [
+        (0, 2, "at least one level"), (1, 1, "at least 2 classes"),
+    ])
+    def test_model_the_constructor_rejects(self, tmp_path, levels, n_classes,
+                                           message):
+        # a well-sized file whose header names no valid model
+        size = sum(int(np.prod(shape)) for _, shape in param_shapes(
+            2, 2, 1, levels, HEAD_CLASSIFICATION, n_classes))
+        path = str(tmp_path / "model.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(b"MRBL" + struct.pack("<HBBIIII", 2, 0, levels, 2, 2, 1,
+                                           n_classes))
+            fh.write(np.zeros(size).tobytes())
+        with pytest.raises(FormatError, match=f"{message}.*offset 0"):
             load_checkpoint(path)
 
     def test_fuzz_corruptions_raise_format_error(self, tmp_path):
@@ -487,21 +529,16 @@ class TestCheckpoint:
         assert rejected[0] == rejected[2] == 125
 
     def test_shapes_checked_before_allocating(self, tmp_path):
-        # a 48 KB file whose block0 records claim E = 3000 under a 4-level
-        # header: a model of those dimensions holds 4 (E, E) w_delta
-        # matrices, 288 MB, so it must be rejected before it is built
+        # a 48 KB file whose header claims E = 3000 and 4 levels: a model
+        # of those dimensions holds 4 (E, E) w_delta matrices, 288 MB, so
+        # it must be rejected before it is built
         path = str(tmp_path / "model.ckpt")
         with open(path, "wb") as fh:
-            fh.write(b"MRBL" + struct.pack("<HBBI", 1, 1, 4, 3))
-            for name, shape in (("block0.w_in", (1, 3000)),
-                                ("block0.w_b", (3000, 1)),
-                                ("cox_beta", (1,))):
-                fh.write(struct.pack("<H", len(name)) + name.encode())
-                fh.write(struct.pack(f"<B{len(shape)}I", len(shape), *shape))
-                fh.write(np.zeros(shape).tobytes())
+            fh.write(b"MRBL" + struct.pack("<HBBIIII", 2, 1, 4, 1, 3000, 1, 0))
+            fh.write(np.zeros(6001).tobytes())
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="3 records"):
+            with pytest.raises(FormatError, match="truncated at offset 48032"):
                 load_checkpoint(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

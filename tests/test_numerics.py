@@ -35,6 +35,18 @@ class TestMatmul:
         err = nm.finite_diff_check(lambda: nm.tsum(nm.matmul(a, b)), [a, b])
         assert err < 1e-6
 
+    def test_backward_skips_an_operand_without_grad(self):
+        rng = np.random.default_rng(1)
+        x = rand_tensor(rng, (5, 3), requires_grad=False)
+        w = rand_tensor(rng, (3, 2))
+        with Tape() as tape:
+            nm.matmul(x, w)
+        (_, _, backward), = tape.nodes
+        g = rng.standard_normal((5, 2))
+        gx, gw = backward(g)
+        assert gx is None
+        assert np.array_equal(gw, x.data.T @ g)
+
 
 def softplus(x: Tensor) -> Tensor:
     """softplus through the step-size node: identity w_delta, zero bias."""
