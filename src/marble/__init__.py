@@ -40,9 +40,9 @@ from .errors import (ConfigError, DimensionError, DomainError, FormatError,
 from .estimator import MarbleClassifier, MarbleCoxRegressor
 from .metrics import (CoxBatch, SurvivalRecord, accuracy, auc_binary,
                       auc_macro_ovr, c_index, cox_loss, cross_entropy)
-from .network import (MarbleParams, SlideOutput, attention_pool, classify,
-                      encode_slide, fuse_level, init_marble_params,
-                      load_checkpoint, risk_score, save_checkpoint)
+from .network import (MarbleParams, SlideOutput, encode_slide, fuse_level,
+                      init_marble_params, load_checkpoint, pool_head,
+                      save_checkpoint)
 from .numerics import Tape, Tensor, finite_diff_check
 from .pyramid import (BagLevel, LevelGrid, TokenBag, build_bag,
                       coarse_branch_drop, parent_index, shuffle_within_levels,

@@ -212,21 +212,23 @@ def generate_dataset(spec: SynthSpec) -> list[GeneratedSlide]:
 
 
 def write_bag(bag: TokenBag, path: str) -> None:
+    """Write `bag`, or raise read_bag's FormatError and write no file."""
     if bag.n_levels == 0:
         raise FormatError("refusing to write a bag with no levels")
     dim = bag.levels[0].embeddings.shape[1] if bag.levels[0].count else 0
+    parts = [BAG_MAGIC, struct.pack("<HBI", BAG_VERSION, bag.n_levels, dim)]
+    for k, lv in enumerate(bag.levels):
+        ratio = 0 if k == 0 else lv.ratio or 0     # the reader refuses 0
+        parts.append(struct.pack("<II", lv.count, ratio))
+        parts.append(np.ascontiguousarray(lv.coords, dtype="<i4").tobytes())
+        parents = (np.full(lv.count, _NO_PARENT) if k == 0 or lv.parents is None
+                   else lv.parents)
+        parts.append(parents.astype("<u4").tobytes())
+        parts.append(np.ascontiguousarray(lv.embeddings, dtype="<f4").tobytes())
+    blob = b"".join(parts)
+    _parse_bag(blob)
     with open(path, "wb") as fh:
-        fh.write(BAG_MAGIC)
-        fh.write(struct.pack("<HBI", BAG_VERSION, bag.n_levels, dim))
-        for k, lv in enumerate(bag.levels):
-            fh.write(struct.pack("<II", lv.count, 0 if k == 0 else lv.ratio))
-            fh.write(np.ascontiguousarray(lv.coords, dtype="<i4").tobytes())
-            if k == 0 or lv.parents is None:
-                parents = np.full(lv.count, _NO_PARENT, dtype="<u4")
-            else:
-                parents = lv.parents.astype("<u4")
-            fh.write(parents.tobytes())
-            fh.write(np.ascontiguousarray(lv.embeddings, dtype="<f4").tobytes())
+        fh.write(blob)
 
 
 def read_bag(path: str) -> TokenBag:

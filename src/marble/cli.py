@@ -168,6 +168,13 @@ def _bag_loader(index: DatasetIndex, base_dir: str):
     return load, probe
 
 
+def _parse_list(flag: str, raw: str, kind) -> list:
+    try:
+        return [kind(v) for v in raw.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -255,7 +262,7 @@ def cmd_train(args) -> int:
 
 def cmd_sweep_alpha(args) -> int:
     config = load_run_config(args.config, args.set or [])
-    grid = [float(v) for v in args.grid.split(",")]
+    grid = _parse_list("--grid", args.grid, float)
     for alpha in grid:
         if not 0.0 <= alpha < 1.0:
             raise ConfigError(f"grid value {alpha} outside [0, 1)")
@@ -321,7 +328,7 @@ def cmd_ablate_scales(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(v) for v in args.sizes.split(",")]
+    sizes = _parse_list("--sizes", args.sizes, int)
     rows = scaling_bench(args.encoder, args.dim, args.state, sizes,
                          repetitions=args.reps, rng_seed=args.seed)
     print(f"{'encoder':<10} {'T':>8} {'median_ms':>12} {'ratio_vs_prev':>14}")

@@ -109,8 +109,7 @@ class SlideOutput:
     """Everything the forward pass produces for one slide."""
 
     encoded: list[Tensor]     # Y^(k) per level
-    pooled: Tensor            # (D,)
-    pool_weights: Tensor      # (T_finest,)
+    pool_weights: np.ndarray  # (T_finest,)
     output: Tensor            # logits (C,) or risk scalar ()
 
 
@@ -182,25 +181,44 @@ def fuse_level(x_k: np.ndarray, y_prev: Tensor, parents, fuse_w: Tensor,
                                backward)
 
 
-def attention_pool(y: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
-    """Softmax-weighted sum of token rows; returns (pooled, weights)."""
-    t_len, d_model = y.shape
-    scores = nm.reshape(nm.matmul(y, nm.reshape(w, (d_model, 1))), (t_len,))
-    weights = nm.softmax_1d(scores)
-    pooled = nm.reshape(nm.matmul(nm.reshape(weights, (1, t_len)), y),
-                        (d_model,))
-    return pooled, weights
+def pool_head(y: Tensor, pool_w: Tensor, head_w: Tensor,
+              head_b: Tensor | None = None) -> tuple[Tensor, np.ndarray]:
+    """Attention pooling (Ilse et al. 2018) and the slide head as one node:
+    the logits head_w @ pooled + head_b, or with no bias the risk pooled .
+    head_w, and the (T,) pool weights; in the separate steps' order."""
+    yd, wd, hd = y.data, pool_w.data, head_w.data
+    d_model = wd.size
+    head_shape = (d_model,) if head_b is None else (*head_b.shape, d_model)
+    if yd.ndim != 2 or yd.shape[0] < 1 or yd.shape[1:] != wd.shape \
+            or hd.shape != head_shape or hd.ndim != 1 + (head_b is not None):
+        raise DimensionError(f"pool_head: tokens {yd.shape}, pool weight "
+                             f"{wd.shape} and head {hd.shape} disagree")
+    with np.errstate(over="ignore", invalid="ignore"):    # caught by _finish
+        scores = (yd @ wd.reshape(d_model, 1)).reshape(-1)
+        e = np.exp(scores - scores.max())
+        weights = e / e.sum()
+        row = weights.reshape(1, -1)
+        pooled = (row @ yd).reshape(d_model)
+        out = (np.dot(pooled, hd) if head_b is None else
+               (hd @ pooled.reshape(d_model, 1)).reshape(-1) + head_b.data)
 
+    def backward(g):
+        if head_b is None:
+            g_pooled, g_head = g * hd, g * pooled
+        else:
+            g_col, z_col = g.reshape(-1, 1), pooled.reshape(d_model, 1)
+            g_pooled, g_head = hd.T @ g_col, g_col @ z_col.T
+        g_pooled = g_pooled.reshape(1, d_model)
+        g_weights = (g_pooled @ yd.T).reshape(-1)
+        g_y = row.T @ g_pooled           # the pooling term, then the scores'
+        g_scores = ((g_weights - np.dot(g_weights, weights))
+                    * weights).reshape(-1, 1)
+        g_y += g_scores @ wd.reshape(d_model, 1).T
+        # the bias gradient is g; without a bias the tape ignores it
+        return g_y, (yd.T @ g_scores).reshape(d_model), g_head, g
 
-def classify(z: Tensor, cls_w: Tensor, cls_b: Tensor) -> Tensor:
-    d_model = z.shape[0]
-    logits = nm.reshape(nm.matmul(cls_w, nm.reshape(z, (d_model, 1))),
-                        (cls_w.shape[0],))
-    return nm.add(logits, cls_b)
-
-
-def risk_score(z: Tensor, beta: Tensor) -> Tensor:
-    return nm.dot(z, beta)
+    inputs = (y, pool_w, head_w) + (() if head_b is None else (head_b,))
+    return nm.record_primitive("pool_head", out, inputs, backward), weights
 
 
 def encode_slide(bag: TokenBag, params: MarbleParams) -> SlideOutput:
@@ -224,13 +242,12 @@ def encode_slide(bag: TokenBag, params: MarbleParams) -> SlideOutput:
                            params.fuse_w[k - 1], params.fuse_b[k - 1])
         y_prev = ssm_block_forward(x, params.blocks[k])
         encoded.append(y_prev)
-    pooled, weights = attention_pool(encoded[-1], params.pool_w)
     if params.head == HEAD_CLASSIFICATION:
-        output = classify(pooled, params.cls_w, params.cls_b)
+        output, weights = pool_head(y_prev, params.pool_w, params.cls_w,
+                                    params.cls_b)
     else:
-        output = risk_score(pooled, params.cox_beta)
-    return SlideOutput(encoded=encoded, pooled=pooled, pool_weights=weights,
-                       output=output)
+        output, weights = pool_head(y_prev, params.pool_w, params.cox_beta)
+    return SlideOutput(encoded=encoded, pool_weights=weights, output=output)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +258,16 @@ def encode_slide(bag: TokenBag, params: MarbleParams) -> SlideOutput:
 _HEADER = struct.Struct("<4sHBBIIII")
 
 
+def _refuse_non_finite(theta: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise FormatError(f"non-finite parameter at offset "
+                          f"{_HEADER.size + 8 * bad[0]}")
+
+
 def save_checkpoint(params: MarbleParams, path: str) -> None:
+    """Write `params`, refusing a non-finite one as load_checkpoint does."""
+    _refuse_non_finite(params.theta)
     block = params.blocks[0]
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
@@ -279,10 +305,7 @@ def load_checkpoint(path: str) -> MarbleParams:
             if len(blob) < end else
             f"{len(blob) - end} bytes after the last record at offset {end}")
     theta = np.frombuffer(blob, "<f8", size, _HEADER.size).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(theta))
-    if bad.size:
-        raise FormatError(f"non-finite parameter at offset "
-                          f"{_HEADER.size + 8 * bad[0]}")
+    _refuse_non_finite(theta)
     try:
         return MarbleParams(*dims, n_levels, head, n_classes, theta=theta)
     except ConfigError as exc:

@@ -125,12 +125,6 @@ def record_primitive(op: str, data: np.ndarray, inputs: Sequence[Tensor],
 # primitives
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes differ {a.shape} vs {b.shape}")
-    return _finish("add", a.data + b.data, (a, b), lambda g: (g, g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul: shapes differ {a.shape} vs {b.shape}")
@@ -168,40 +162,10 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if a.data.size != int(np.prod(shape, dtype=np.int64)):
-        raise DimensionError(f"reshape: {a.shape} -> {shape} changes size")
-    old = a.shape
-    return _finish("reshape", a.data.reshape(shape), (a,),
-                   lambda g: (g.reshape(old),))
-
-
 def tsum(a: Tensor) -> Tensor:
     shape = a.shape
     return _finish("sum", np.sum(a.data), (a,),
                    lambda g: (np.broadcast_to(g, shape).copy(),))
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(f"dot needs equal 1-D shapes, got {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-    return _finish("dot", np.dot(ad, bd), (a, b), lambda g: (g * bd, g * ad))
-
-
-def softmax_1d(v: Tensor) -> Tensor:
-    """Numerically stable softmax of a 1-D vector."""
-    if v.data.ndim != 1 or v.data.size == 0:
-        raise DimensionError(f"softmax_1d needs a non-empty 1-D vector, got {v.shape}")
-    shifted = v.data - v.data.max()
-    e = np.exp(shifted)
-    s = e / e.sum()
-
-    def backward(g):
-        return ((g - np.dot(g, s)) * s,)
-
-    return _finish("softmax_1d", s, (v,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,8 @@ def scaling_bench(encoder: str, d_model: int, d_state: int,
     """
     if encoder not in ("scan", "attention"):
         raise ConfigError(f"unknown encoder kind '{encoder}'")
+    if min(t_values, default=1) < 1 or min(d_model, d_state) < 1:
+        raise ConfigError("T, d_model and d_state must be at least 1")
     if any(b <= a for a, b in zip(t_values, t_values[1:])):
         raise ConfigError("T values must be strictly increasing")
     if repetitions < 3:

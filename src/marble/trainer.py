@@ -27,7 +27,7 @@ from .metrics import (CoxBatch, accuracy, auc_binary, auc_macro_ovr,
                       c_index, cox_loss, cross_entropy, descending_tie_groups)
 from .network import (HEAD_CLASSIFICATION, HEAD_SURVIVAL, MarbleParams,
                       encode_slide, init_marble_params)
-from .numerics import Tape, Tensor, softmax_1d
+from .numerics import Tape, Tensor
 from .pyramid import TokenBag, coarse_branch_drop, shuffle_within_levels
 
 
@@ -170,7 +170,7 @@ def _regularized_bag(bag: TokenBag, config: TrainConfig, epoch: int,
 
 
 def train(index: DatasetIndex, config: TrainConfig,
-          bag_loader, params: MarbleParams | None = None) -> TrainResult:
+          bag_loader) -> TrainResult:
     """Full training run per the protocol; reproducible from config.seed."""
     train_recs = index.split_records("train")
     val_recs = index.split_records("val")
@@ -189,11 +189,10 @@ def train(index: DatasetIndex, config: TrainConfig,
             cache[record.slide_id] = bag_loader(record)
         return cache[record.slide_id]
 
-    if params is None:
-        params = init_marble_params(
-            config.d_model, config.d_inner, config.d_state, config.n_levels,
-            config.head, config.n_classes,
-            np.random.default_rng(derive_seed(config.seed, "init")))
+    params = init_marble_params(
+        config.d_model, config.d_inner, config.d_state, config.n_levels,
+        config.head, config.n_classes,
+        np.random.default_rng(derive_seed(config.seed, "init")))
     state = OptimizerState(params.theta.size)
     order_rng = np.random.default_rng(derive_seed(config.seed, "order"))
     step = 1 if config.head == HEAD_CLASSIFICATION else config.cox_chunk
@@ -354,7 +353,8 @@ def _score(params: MarbleParams, bag: TokenBag):
     output = encode_slide(bag, params).output
     if params.head == HEAD_SURVIVAL:
         return output.item()
-    return softmax_1d(output).data
+    e = np.exp(output.data - output.data.max())
+    return e / e.sum()
 
 
 def evaluate(params: MarbleParams, records: list[ManifestRecord],

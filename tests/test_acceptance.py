@@ -66,7 +66,9 @@ def in_memory_index(spec, n_train=200, n_val=50):
 
 class TestCriterion1GradientSuite:
     """Every trainable parameter of a tiny two-level model passes central
-    finite-difference checks for both heads, max rel err < 1e-4."""
+    finite-difference checks for both heads, max rel err < 1e-4. The
+    survival case checks the risk score itself, so its gradient runs
+    through the head, pooling, fusion and every block."""
 
     def test_gradients_both_heads(self):
         start = time.process_time()
@@ -82,11 +84,8 @@ class TestCriterion1GradientSuite:
                     out = encode_slide(bag, params)
                     return mb.cross_entropy(out.output, 1)
             else:
-                record = SurvivalRecord(2.0, True)
                 def loss():
-                    out = encode_slide(bag, params)
-                    batch = CoxBatch(nm.reshape(out.output, (1,)), [record])
-                    return cox_loss(batch, 1e-3, params.squared_norm())
+                    return encode_slide(bag, params).output
             # composed-model difference quotients are roundoff-limited at
             # the default step, so use a larger one; the tolerance stands
             err = nm.finite_diff_check(loss, leaves, eps=3e-4)

@@ -6,11 +6,13 @@ identical marginal signal counts, and only the co-location of coarse and
 fine signal tokens differs.
 """
 
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from marble import bagdata
 from marble.bagdata import (BAG_MAGIC, DatasetIndex, GeneratedSlide,
                             ManifestRecord, SynthSpec, _ancestor0,
                             generate_dataset, generate_slide, load_manifest,
@@ -158,6 +160,19 @@ class TestBagFormat:
         bag, _ = generate_slide(spec, 1, rng)
         return bag
 
+    @staticmethod
+    def _refused_by_writer_and_reader(bag, path, match, monkeypatch):
+        """write_bag refuses `bag` and leaves no file; the bytes it would
+        have written, forced out unchecked, read_bag refuses alike."""
+        with pytest.raises(FormatError, match=match):
+            write_bag(bag, path)
+        assert not os.path.exists(path)
+        monkeypatch.setattr(bagdata, "_parse_bag", lambda blob: None)
+        write_bag(bag, path)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match=match):
+            read_bag(path)
+
     def test_round_trip_bit_exact(self, tmp_path):
         bag = self._bag(12)
         path = str(tmp_path / "x.bag")
@@ -222,14 +237,12 @@ class TestBagFormat:
         with pytest.raises(FormatError, match="trailing"):
             read_bag(path)
 
-    def test_parent_out_of_range_rejected(self, tmp_path):
+    def test_parent_out_of_range_rejected(self, tmp_path, monkeypatch):
         bag = self._bag(16)
         bag.levels[1].parents = bag.levels[1].parents.copy()
         bag.levels[1].parents[0] = 10 ** 6
-        path = str(tmp_path / "x.bag")
-        write_bag(bag, path)
-        with pytest.raises(FormatError, match="parent index"):
-            read_bag(path)
+        self._refused_by_writer_and_reader(bag, str(tmp_path / "x.bag"),
+                                           "parent index", monkeypatch)
 
     def test_zero_levels_rejected(self, tmp_path):
         path = tmp_path / "x.bag"
@@ -237,44 +250,52 @@ class TestBagFormat:
         with pytest.raises(FormatError, match="0 levels .* offset 4"):
             read_bag(str(path))
 
-    def test_zero_dim_rejected(self, tmp_path):
+    def test_zero_dim_rejected(self, tmp_path, monkeypatch):
         level = BagLevel(np.zeros((1, 0)), np.zeros((1, 2), dtype=np.int64),
                          None)
-        path = str(tmp_path / "x.bag")
-        write_bag(TokenBag(levels=[level]), path)
-        with pytest.raises(FormatError, match="dim 0, offset 4"):
-            read_bag(path)
+        self._refused_by_writer_and_reader(
+            TokenBag(levels=[level]), str(tmp_path / "x.bag"),
+            "dim 0, offset 4", monkeypatch)
 
-    def test_empty_level_rejected(self, tmp_path):
+    def test_empty_level_rejected(self, tmp_path, monkeypatch):
         bag = self._bag(19)
         bag.levels[1] = BagLevel(np.zeros((0, 64)),
                                  np.zeros((0, 2), dtype=np.int64),
                                  np.zeros(0, dtype=np.int64), 2)
+        self._refused_by_writer_and_reader(bag, str(tmp_path / "x.bag"),
+                                           "level 1 is empty", monkeypatch)
+
+    def test_finer_level_without_ratio_refused(self, tmp_path, monkeypatch):
+        bag = self._bag(19)
+        bag.levels[1].ratio = None
+        self._refused_by_writer_and_reader(bag, str(tmp_path / "x.bag"),
+                                           "level 1 ratio must be >= 1",
+                                           monkeypatch)
+
+    def test_non_finite_embeddings_still_written(self, tmp_path):
+        # read_bag accepts them, so the writer does too
+        bag = self._bag(19)
+        bag.levels[1].embeddings[0, 0] = np.nan
         path = str(tmp_path / "x.bag")
         write_bag(bag, path)
-        with pytest.raises(FormatError, match="level 1 is empty"):
-            read_bag(path)
+        assert np.isnan(read_bag(path).levels[1].embeddings[0, 0])
 
-    def test_negative_coordinate_rejected(self, tmp_path):
+    def test_negative_coordinate_rejected(self, tmp_path, monkeypatch):
         bag = self._bag(20)
         bag.levels[0].coords[3, 1] = -1
-        path = str(tmp_path / "x.bag")
-        write_bag(bag, path)
         # level 0's coords start after the 11-byte header and the 8-byte
         # level header; token 3's column is 8 * 3 + 4 bytes further
-        with pytest.raises(FormatError, match="negative coordinate at "
-                                              "offset 47"):
-            read_bag(path)
+        self._refused_by_writer_and_reader(
+            bag, str(tmp_path / "x.bag"), "negative coordinate at offset 47",
+            monkeypatch)
 
-    def test_coordinates_must_lie_under_parent(self, tmp_path):
+    def test_coordinates_must_lie_under_parent(self, tmp_path, monkeypatch):
         bag = self._bag(21)
         fine = bag.levels[1]
         assert fine.parents[5] != fine.parents[0]
         fine.coords[5] = fine.coords[0]
-        path = str(tmp_path / "x.bag")
-        write_bag(bag, path)
-        with pytest.raises(FormatError, match="parent's"):
-            read_bag(path)
+        self._refused_by_writer_and_reader(bag, str(tmp_path / "x.bag"),
+                                           "parent's", monkeypatch)
 
     def test_fuzz_never_crashes(self, tmp_path):
         # random corruptions must raise FormatError, never anything else

@@ -302,6 +302,15 @@ class TestSweepAlpha:
         assert main(["sweep-alpha", "--data", manifest,
                      "--out", str(tmp_path / "s"), "--grid", "1.5"] + FAST) == 2
 
+    @pytest.mark.parametrize("grid", ["0.1,abc", "", "abc"])
+    def test_unparsable_grid_exits_2(self, dataset, tmp_path, capsys, grid):
+        manifest = os.path.join(dataset, "manifest.csv")
+        out = tmp_path / "s"
+        assert main(["sweep-alpha", "--data", manifest, "--out", str(out),
+                     f"--grid={grid}"] + FAST) == 2
+        assert "config error: --grid" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblateScales:
 
@@ -336,6 +345,16 @@ class TestBench:
         assert len(rows) == 3
         assert rows[1][3] == ""       # first size has no predecessor
         assert float(rows[2][3]) > 0  # second reports a ratio
+
+    @pytest.mark.parametrize("args", [
+        ["--sizes", "16,x"], ["--sizes", "0,16"], ["--sizes", "16", "--dim", "0"],
+        ["--sizes", "16", "--state", "0"]])
+    def test_bad_values_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--encoder", "scan", "--dim", "4", "--reps", "3",
+                     "--out", str(out)] + args) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_attention_bench_runs(self, tmp_path):
         assert main(["bench", "--encoder", "attention", "--sizes", "64,128",

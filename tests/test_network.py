@@ -13,9 +13,9 @@ from marble.bagdata import SynthSpec, generate_slide
 from marble.errors import ConfigError, DimensionError, FormatError, NumericError
 from marble.metrics import cross_entropy
 from marble.network import (HEAD_CLASSIFICATION, HEAD_SURVIVAL, MarbleParams,
-                            attention_pool, classify, encode_slide,
-                            fuse_level, init_marble_params, load_checkpoint,
-                            param_shapes, risk_score, save_checkpoint)
+                            encode_slide, fuse_level, init_marble_params,
+                            load_checkpoint, param_shapes, pool_head,
+                            save_checkpoint)
 from marble.numerics import Tape, Tensor
 from marble.pyramid import LevelGrid, TokenBag, build_bag
 
@@ -87,6 +87,13 @@ class TestInit:
         assert params.squared_norm().data == pytest.approx(expected,
                                                            rel=1e-12)
 
+    def test_squared_norm_gradient(self):
+        params = init_marble_params(4, 6, 2, 2, HEAD_SURVIVAL, 2,
+                                    np.random.default_rng(3))
+        leaves = [p for _, p in params.named_params()]
+        assert nm.finite_diff_check(params.squared_norm, leaves) < 1e-6
+        np.testing.assert_array_equal(params.grad, 2.0 * params.theta)
+
 
 class TestLayout:
     """Every parameter is a view into the model's flat theta/grad pair."""
@@ -149,7 +156,7 @@ class TestLayout:
         params = init_marble_params(8, 16, 4, 2, HEAD_CLASSIFICATION, 2, rng)
         with Tape() as tape:
             out = encode_slide(bag, params).output
-            tape.backward(nm.dot(out, Tensor(np.array([1.0, -1.0]))))
+            tape.backward(nm.tsum(nm.mul(out, Tensor(np.array([1.0, -1.0])))))
         flat = np.concatenate([p.grad.ravel()
                                for _, p in params.named_params()])
         np.testing.assert_array_equal(flat, params.grad)
@@ -206,30 +213,127 @@ class TestFusionAndPooling:
     def test_pool_weights_sum_to_one(self):
         rng = np.random.default_rng(4)
         y = Tensor(rng.normal(size=(6, 5)))
-        w = Tensor(rng.normal(size=5))
-        pooled, weights = attention_pool(y, w)
-        assert weights.data.sum() == pytest.approx(1.0)
-        np.testing.assert_allclose(pooled.data, weights.data @ y.data,
-                                   atol=1e-14)
+        w, beta = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
+        risk, weights = pool_head(y, w, beta)
+        assert isinstance(weights, np.ndarray)
+        assert weights.sum() == pytest.approx(1.0)
+        assert risk.data[0] == pytest.approx(weights @ y.data @ beta.data,
+                                             rel=1e-12)
 
     def test_pool_concentrates_on_high_score_token(self):
         y = np.zeros((4, 3))
         y[2] = 50.0
-        pooled, weights = attention_pool(Tensor(y), Tensor(np.ones(3)))
-        assert weights.data[2] > 0.999
-        np.testing.assert_allclose(pooled.data, y[2], rtol=1e-3)
+        risk, weights = pool_head(Tensor(y), Tensor(np.ones(3)),
+                                  Tensor(np.array([1.0, 0.0, 0.0])))
+        assert weights[2] > 0.999
+        assert risk.data[0] == pytest.approx(50.0, rel=1e-3)
 
     def test_heads(self):
         rng = np.random.default_rng(5)
-        z = Tensor(rng.normal(size=4))
+        y, w = Tensor(rng.normal(size=(7, 4))), Tensor(rng.normal(size=4))
         cls_w = Tensor(rng.normal(size=(3, 4)))
         cls_b = Tensor(rng.normal(size=3))
-        np.testing.assert_allclose(classify(z, cls_w, cls_b).data,
-                                   cls_w.data @ z.data + cls_b.data,
-                                   atol=1e-14)
+        logits, weights = pool_head(y, w, cls_w, cls_b)
+        pooled = weights @ y.data
+        np.testing.assert_allclose(logits.data, cls_w.data @ pooled
+                                   + cls_b.data, atol=1e-14)
         beta = Tensor(rng.normal(size=4))
-        assert risk_score(z, beta).data == pytest.approx(
-            float(z.data @ beta.data))
+        risk, _ = pool_head(y, w, beta)
+        assert risk.data[0] == pytest.approx(float(pooled @ beta.data))
+
+    @pytest.mark.parametrize("head_shape,bias", [
+        ((4,), (4,)), ((2, 4), None), ((2, 4), (3,)), ((2, 3), (2,)),
+        ((4, 1), (4,)), ((5,), None)])
+    def test_pool_head_refuses_mismatched_shapes(self, head_shape, bias):
+        y, w = Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))
+        with pytest.raises(DimensionError):
+            pool_head(y, w, Tensor(np.zeros(head_shape)),
+                      None if bias is None else Tensor(np.zeros(bias)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("where", ["scores", "head"])
+    def test_non_finite_head_fails_without_warnings(self, where):
+        y = np.ones((3, 2))
+        head_w = np.ones((2, 2))
+        if where == "scores":
+            y[1] = 1e308        # y @ w overflows, the weights turn NaN
+        else:
+            head_w[0] = 1e308   # the logits overflow
+        with pytest.raises(NumericError) as exc:
+            pool_head(Tensor(y), Tensor(np.ones(2)), Tensor(head_w),
+                      Tensor(np.zeros(2)))
+        assert exc.value.op == "pool_head"
+
+
+def composite_pool_head(y, w, head_w, head_b, g):
+    """The replaced composite in plain numpy: attention_pool, then classify
+    (head_b given) or risk_score, as reshape, matmul, softmax_1d, add and
+    dot forwards, then their backwards in reverse tape order with `g` the
+    gradient of the output. Returns the output, the pool weights and the
+    gradients of (y, w, head_w, head_b)."""
+    t_len, d = y.shape
+    w_col = w.reshape(d, 1)                         # reshape
+    scores = (y @ w_col).reshape(t_len)             # matmul, reshape
+    shifted = scores - scores.max()                 # softmax_1d
+    e = np.exp(shifted)
+    s = e / e.sum()
+    s_row = s.reshape(1, t_len)                     # reshape
+    pooled = (s_row @ y).reshape(d)                 # matmul, reshape
+    if head_b is None:
+        out = np.dot(pooled, head_w)                # dot
+        g_pooled, g_head, g_b = g * head_w, g * pooled, None
+    else:
+        z_col = pooled.reshape(d, 1)                # reshape
+        out = (head_w @ z_col).reshape(-1) + head_b  # matmul, reshape, add
+        g_col = g.reshape(-1, 1)
+        g_head, g_z, g_b = g_col @ z_col.T, head_w.T @ g_col, g
+        g_pooled = g_z.reshape(d)
+    g_p = g_pooled.reshape(1, d)
+    g_s_row = g_p @ y.T                             # matmul(s_row, y)
+    g_y_pool = s_row.T @ g_p
+    g_s = g_s_row.reshape(t_len)
+    g_scores = ((g_s - np.dot(g_s, s)) * s).reshape(t_len, 1)  # softmax_1d
+    g_y_scores = g_scores @ w_col.T                 # matmul(y, w_col)
+    g_w = (y.T @ g_scores).reshape(d)
+    return out, s, [g_y_pool + g_y_scores, g_w, g_head, g_b]
+
+
+class TestPoolHead:
+    """`pool_head` equals the composite it replaced bit for bit."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 0], ids=["C2", "C3", "risk"])
+    @pytest.mark.parametrize("t_len", [1, 13])
+    def test_matches_the_composite_bit_for_bit(self, n_classes, t_len):
+        rng = np.random.default_rng(30 + t_len + n_classes)
+        d = 6
+        arrays = [rng.normal(size=(t_len, d)), rng.normal(size=d),
+                  rng.normal(size=(n_classes, d) if n_classes else d)]
+        if n_classes:
+            arrays.append(rng.normal(size=n_classes))
+        g = rng.normal(size=n_classes or 1)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out, weights = pool_head(*leaves)
+            assert len(tape.nodes) == 1
+            tape.backward(nm.tsum(nm.mul(out, Tensor(g))))
+        want_out, want_weights, want_grads = composite_pool_head(
+            *arrays, *([] if n_classes else [None]), g)
+        assert np.array_equal(out.data.ravel(), np.ravel(want_out))
+        assert np.array_equal(weights, want_weights)
+        for leaf, want in zip(leaves, want_grads):
+            assert np.array_equal(leaf.grad, want)
+
+    @pytest.mark.parametrize("n_classes", [3, 0], ids=["logits", "risk"])
+    def test_gradients(self, n_classes):
+        rng = np.random.default_rng(40 + n_classes)
+        leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in [(9, 5), (5,), (n_classes, 5) if n_classes
+                                else (5,)] + ([(n_classes,)] if n_classes
+                                              else [])]
+        g = Tensor(rng.normal(size=n_classes or 1))
+        err = nm.finite_diff_check(
+            lambda: nm.tsum(nm.mul(pool_head(*leaves)[0], g)), leaves)
+        assert err <= 1e-4
 
 
 class TestEncodeSlide:
@@ -242,7 +346,6 @@ class TestEncodeSlide:
         assert len(out.encoded) == 2
         assert out.encoded[0].shape == (4, 8)
         assert out.encoded[1].shape == (16, 8)
-        assert out.pooled.shape == (8,)
         assert out.pool_weights.shape == (16,)
         assert out.output.shape == (2,)
 
@@ -303,7 +406,7 @@ class TestEncodeSlide:
                 out = encode_slide(b, params)
                 tape.backward(out.output)
             runs.append((out.output.data.tobytes(),
-                         out.pool_weights.data.tobytes(),
+                         out.pool_weights.tobytes(),
                          params.grad.tobytes()))
         assert runs[0] == runs[1]
 
@@ -316,15 +419,15 @@ class TestEncodeSlide:
             encode_slide(bag, params)
         assert exc.value.op == "fuse_level"
 
-    def test_two_level_slide_records_29_nodes(self):
+    def test_two_level_slide_records_19_nodes(self):
         # 8 per block (4 projections and step size, decay, scan, gate), 1
-        # fusion, 7 pooling, 4 head and 1 loss
+        # fusion, 1 pooling and head, and 1 loss
         rng = np.random.default_rng(16)
         bag = small_bag(rng)
         params = init_marble_params(8, 16, 4, 2, HEAD_CLASSIFICATION, 2, rng)
         with Tape() as tape:
             cross_entropy(encode_slide(bag, params).output, 1)
-        assert len(tape.nodes) == 29
+        assert len(tape.nodes) == 19
 
     def test_tape_keeps_only_what_backward_reads(self):
         # bytes held after a 3-level training forward, and at the peak of
@@ -357,7 +460,7 @@ class TestEncodeSlide:
 
         def f():
             out = encode_slide(bag, params)
-            return nm.dot(out.output, Tensor(np.array([1.0, -1.0])))
+            return nm.tsum(nm.mul(out.output, Tensor(np.array([1.0, -1.0]))))
 
         # composed-model finite differences need a larger step: at 1e-5
         # the difference quotient is dominated by float64 roundoff
@@ -458,6 +561,18 @@ class TestCheckpoint:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("index,value", [(37, np.nan), (0, np.inf)])
+    def test_non_finite_parameter_refused_before_writing(self, tmp_path,
+                                                         index, value):
+        params = init_marble_params(8, 16, 4, 1, HEAD_SURVIVAL, 2,
+                                    np.random.default_rng(21))
+        params.theta[index] = value
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(FormatError, match=f"non-finite parameter at "
+                                              f"offset {24 + 8 * index}$"):
+            save_checkpoint(params, str(path))
+        assert not path.exists()
 
     @pytest.mark.parametrize("head,n_classes,levels", [
         (HEAD_SURVIVAL, 0, 1), (HEAD_SURVIVAL, 2, 3),

@@ -356,3 +356,9 @@ class TestScalingBench:
             scaling_bench("scan", 8, 4, [32], repetitions=2)
         with pytest.raises(ConfigError):
             scaling_bench("fft", 8, 4, [32], repetitions=3)
+
+    @pytest.mark.parametrize("d_model,d_state,sizes", [
+        (8, 4, [0, 16]), (8, 4, [-3]), (0, 4, [16]), (8, 0, [16])])
+    def test_rejects_non_positive_dims(self, d_model, d_state, sizes):
+        with pytest.raises(ConfigError):
+            scaling_bench("scan", d_model, d_state, sizes, repetitions=3)
