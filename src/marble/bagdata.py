@@ -233,8 +233,11 @@ def write_bag(bag: TokenBag, path: str) -> None:
 
 def read_bag(path: str) -> TokenBag:
     """Read a bag file; every FormatError names `path`."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read bag: {exc}") from exc
     try:
         return _parse_bag(blob)
     except FormatError as exc:
@@ -347,8 +350,8 @@ def load_manifest(path: str, split_seed: int = 0) -> DatasetIndex:
     seen: set[str] = set()
     try:
         lines = open(path, "r", encoding="utf-8").read().splitlines()
-    except OSError as exc:
-        raise FormatError(f"cannot read manifest: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read manifest {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):

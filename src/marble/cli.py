@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, sweep-alpha, ablate-scales, bench. Runs
-are reproducible: every command derives all randomness from one --seed
-(or the seed key in the config) and echoes the fully resolved
-configuration into its output directory. Exit codes: 0 success, 2 config
-error, 3 data/format error, 4 numeric failure.
+are reproducible: each command but bench derives all randomness from the
+seed key of its config and echoes the fully resolved configuration into
+its output directory; bench takes --seed. Exit codes: 0 success, 2
+config error, 3 data/format error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import csv
 import os
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import field, fields, make_dataclass, replace
 
 import numpy as np
@@ -25,42 +26,27 @@ from .errors import ConfigError, FormatError, MarbleError, NumericError
 from .network import save_checkpoint
 from .pyramid import TokenBag, single_level_view
 from .ssmcore import scaling_bench
-from .trainer import (METRIC, TrainConfig, TrainResult, check_scorable,
-                      derive_seed, evaluate, train)
+from .trainer import (DATA_FIELDS, METRIC, TrainConfig, check_scorable,
+                      data_config, derive_seed, evaluate, train)
 
 
-# TrainConfig fields the dataset decides: the task picks the head, the
-# first bag gives width and level count, the manifest labels give classes.
-_FROM_DATA = ("head", "d_model", "n_levels", "n_classes")
-_TRAIN_KEYS = [f.name for f in fields(TrainConfig) if f.name not in _FROM_DATA]
+_TRAIN_KEYS = [f.name for f in fields(TrainConfig) if f.name not in DATA_FIELDS]
 
 
 def _synth_spec(self) -> SynthSpec:
     return SynthSpec(**{f.name: getattr(self, f.name) for f in fields(SynthSpec)})
 
 
-def _train_config(self, index: DatasetIndex, probe: TokenBag) -> TrainConfig:
-    """The TrainConfig for training on `index`, whose bags look like
-    `probe`."""
-    return TrainConfig(
-        **{key: getattr(self, key) for key in _TRAIN_KEYS}, head=index.task,
-        d_model=probe.levels[0].embeddings.shape[1],
-        n_levels=probe.n_levels,
-        n_classes=max([2] + [r.label + 1 for r in index.records
-                             if r.label is not None]))
-
-
 # Flat key=value configuration shared by all commands: every SynthSpec
 # field, every TrainConfig field the data does not decide (seed is in both
 # and is one key), and the number of repeats.
 _KEYS = {f.name: f for f in (*fields(SynthSpec), *fields(TrainConfig))
-         if f.name not in _FROM_DATA}
+         if f.name not in DATA_FIELDS}
 RunConfig = make_dataclass(
     "RunConfig",
     [(f.name, f.type, field(default=f.default)) for f in _KEYS.values()]
     + [("repeats", "int", field(default=1))],
-    namespace={"__module__": __name__, "synth_spec": _synth_spec,
-               "train_config": _train_config})
+    namespace={"__module__": __name__, "synth_spec": _synth_spec})
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -88,12 +74,15 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
     """Plain-text key=value config ('#' comments); unknown keys rejected."""
     items = []
     if path is not None:
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            items = [(f"{path}:{lineno}", text)
-                     for lineno, line in enumerate(fh, start=1)
-                     if (text := line.split("#", 1)[0].strip())]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                items = [(f"{path}:{lineno}", text)
+                         for lineno, line in enumerate(fh, start=1)
+                         if (text := line.split("#", 1)[0].strip())]
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     values: dict = {}
     for where, item in items + [("--set", item) for item in overrides]:
         key, eq, raw = (part.strip() for part in item.partition("="))
@@ -111,61 +100,104 @@ def load_run_config(path: str | None, overrides: list[str]) -> RunConfig:
     return config
 
 
-def echo_config(config: RunConfig, out_dir: str) -> None:
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
+@contextmanager
+def _run_dir(args, config: RunConfig):
+    """The output directory `args.out`, emptied under --force, holding
+    config.txt and, while work is in flight, a .partial marker."""
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        if not args.force:
+            raise ConfigError(
+                f"output directory '{args.out}' is not empty (use --force)")
+        shutil.rmtree(args.out)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory '{args.out}': "
+                          f"{exc.strerror}") from exc
+    marker = os.path.join(args.out, ".partial")
+    open(marker, "w").close()
+    with open(os.path.join(args.out, "config.txt"), "w",
+              encoding="utf-8") as fh:
         for f in fields(RunConfig):
             fh.write(f"{f.name}={getattr(config, f.name)}\n")
+    yield args.out
+    os.remove(marker)
 
 
-class _RunDir:
-    """Output directory with a .partial marker while work is in flight."""
+def _setup(args):
+    """The run config, the manifest, a loader of its bags and the
+    TrainConfig its first bag decides. A bag whose level count or width
+    differs from the first bag's is a data error naming its file."""
+    config = load_run_config(args.config, args.set or [])
+    if not os.path.exists(args.data):
+        raise FormatError(f"manifest not found: {args.data}")
+    index = load_manifest(args.data, split_seed=derive_seed(config.seed, "split"))
+    base_dir = os.path.dirname(os.path.abspath(args.data))
 
-    def __init__(self, path: str, force: bool = False):
-        self.path = path
-        if os.path.isdir(path) and os.listdir(path):
-            if not force:
-                raise ConfigError(
-                    f"output directory '{path}' is not empty (use --force)")
-            shutil.rmtree(path)
-        os.makedirs(path, exist_ok=True)
-        self.marker = os.path.join(path, ".partial")
-
-    def __enter__(self):
-        open(self.marker, "w").close()
-        return self.path
-
-    def __exit__(self, exc_type, *rest):
-        if exc_type is None and os.path.exists(self.marker):
-            os.remove(self.marker)
-        return False
-
-
-def _load_index(manifest_path: str, seed: int) -> tuple[DatasetIndex, str]:
-    if not os.path.exists(manifest_path):
-        raise FormatError(f"manifest not found: {manifest_path}")
-    index = load_manifest(manifest_path, split_seed=derive_seed(seed, "split"))
-    return index, os.path.dirname(os.path.abspath(manifest_path))
-
-
-def _bag_loader(index: DatasetIndex, base_dir: str):
-    """A loader of the manifest's bags, and its first bag: the probe that
-    gives the model its shape. A bag whose level count or width differs
-    from the probe's is a data error naming its file."""
-    def read(record: ManifestRecord):
+    def read(record: ManifestRecord) -> TokenBag:
         # os.path.join keeps a manifest path that is already absolute
-        bag = read_bag(os.path.join(base_dir, record.path))
-        return bag, (bag.n_levels, bag.levels[0].embeddings.shape[1])
+        return read_bag(os.path.join(base_dir, record.path))
 
-    probe, want = read(index.records[0])
+    first = index.records[0]
+    tconf = data_config(index, read(first),
+                        **{key: getattr(config, key) for key in _TRAIN_KEYS})
 
-    def load(record: ManifestRecord):
-        bag, got = read(record)
-        if got != want:
+    def load(record: ManifestRecord) -> TokenBag:
+        bag = read(record)
+        got = (bag.n_levels, bag.levels[0].embeddings.shape[1])
+        if got != (tconf.n_levels, tconf.d_model):
             raise FormatError(f"{record.path}: {got[0]} levels of width "
-                              f"{got[1]}, but {index.records[0].path} has "
-                              f"{want[0]} of width {want[1]}")
+                              f"{got[1]}, but {first.path} has "
+                              f"{tconf.n_levels} of width {tconf.d_model}")
         return bag
-    return load, probe
+    return config, index, load, tconf
+
+
+def _repeat(config: RunConfig, index: DatasetIndex, loader,
+            tconf: TrainConfig, tag: str | None, test=(), out=None):
+    """Yield (seed, TrainResult, test metric) for each of `config.repeats`
+    trainings of `tconf`. Pass r is seeded by derive_seed(seed,
+    tag.format(r)), or by the seed itself when `tag` is None, and scored
+    on `test` (nan when empty). With `out`, each pass writes epochs.csv
+    and best.ckpt there, or to out/run<r> when there are repeats."""
+    for rep in range(config.repeats):
+        seed = config.seed if tag is None \
+            else derive_seed(config.seed, tag.format(rep))
+        result = train(index, replace(tconf, seed=seed), bag_loader=loader)
+        if out is not None:
+            rep_dir = out if config.repeats == 1 \
+                else os.path.join(out, f"run{rep}")
+            os.makedirs(rep_dir, exist_ok=True)
+            _write_csv(os.path.join(rep_dir, "epochs.csv"),
+                       ["epoch", "lr", "train_loss", "val_metric",
+                        "best_so_far", "stopped_flag"],
+                       [[r.epoch, repr(r.lr), repr(r.train_loss),
+                         repr(r.val_metric), repr(r.best_so_far),
+                         int(r.stopped)] for r in result.reports])
+            save_checkpoint(result.params, os.path.join(rep_dir, "best.ckpt"))
+        metric = float("nan")
+        if test:
+            metric = evaluate(result.params, test,
+                              bag_loader=loader)[METRIC[index.task]]
+        yield seed, result, metric
+
+
+def _variant_table(config: RunConfig, index: DatasetIndex, variants: list,
+                   path: str, key_name: str, test=()) -> None:
+    """Print and write to `path` the mean and population sd over the
+    repeats of each variant's test metric, or its best validation metric
+    when there is no `test`. A variant is (CSV key, printed label, bag
+    loader, TrainConfig, seed tag)."""
+    metric_name = METRIC[index.task]
+    split = "test" if test else "val"
+    rows = []
+    for key, label, loader, tconf, tag in variants:
+        metrics = [metric if test else result.best_metric for _, result, metric
+                   in _repeat(config, index, loader, tconf, tag, test)]
+        mean, sd = np.mean(metrics), np.std(metrics)
+        rows.append([key, repr(float(mean)), repr(float(sd))])
+        print(f"{label}: {split} {metric_name} {mean:.4f} +/- {sd:.4f}")
+    _write_csv(path, [key_name, f"mean_{split}_{metric_name}", "sd"], rows)
 
 
 def _parse_list(flag: str, raw: str, kind) -> list:
@@ -189,7 +221,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def cmd_gen_data(args) -> int:
     config = load_run_config(args.spec, args.set or [])
     spec = config.synth_spec()
-    with _RunDir(args.out, force=args.force) as out_dir:
+    with _run_dir(args, config) as out_dir:
         slides = generate_dataset(spec)
         if spec.task == "survival":
             n_events = sum(1 for s in slides if s.record.event)
@@ -204,52 +236,24 @@ def cmd_gen_data(args) -> int:
                                           record=s.record))
         index = DatasetIndex(task=spec.task, records=records)
         write_manifest(os.path.join(out_dir, "manifest.csv"), index)
-        echo_config(config, out_dir)
     print(f"wrote {len(slides)} bags + manifest to {args.out}")
     return 0
 
 
-def _train_once(index: DatasetIndex, loader, tconf: TrainConfig,
-                out_dir: str) -> tuple[TrainResult, dict]:
-    result = train(index, tconf, bag_loader=loader)
-    _write_csv(os.path.join(out_dir, "epochs.csv"),
-               ["epoch", "lr", "train_loss", "val_metric", "best_so_far",
-                "stopped_flag"],
-               [[r.epoch, repr(r.lr), repr(r.train_loss), repr(r.val_metric),
-                 repr(r.best_so_far), int(r.stopped)] for r in result.reports])
-    save_checkpoint(result.params, os.path.join(out_dir, "best.ckpt"))
-    test_recs = index.split_records("test")
-    report = {}
-    if test_recs:
-        report = evaluate(result.params, test_recs, bag_loader=loader)
-    return result, report
-
-
 def cmd_train(args) -> int:
-    config = load_run_config(args.config, args.set or [])
-    index, base_dir = _load_index(args.data, config.seed)
-    loader, probe = _bag_loader(index, base_dir)
-    base = config.train_config(index, probe)
-    test_recs = index.split_records("test")
-    if test_recs:
-        check_scorable("test", test_recs, base)
-    with _RunDir(args.out, force=args.force) as out_dir:
-        echo_config(config, out_dir)
+    config, index, loader, tconf = _setup(args)
+    test = index.split_records("test")
+    if test:
+        check_scorable("test", test, tconf)
+    with _run_dir(args, config) as out_dir:
+        tag = "repeat:{}" if config.repeats > 1 else None
         rows = []
-        for rep in range(config.repeats):
-            seed = (config.seed if config.repeats == 1
-                    else derive_seed(config.seed, f"repeat:{rep}"))
-            tconf = replace(base, seed=seed)
-            rep_dir = out_dir if config.repeats == 1 \
-                else os.path.join(out_dir, f"run{rep}")
-            os.makedirs(rep_dir, exist_ok=True)
-            result, report = _train_once(index, loader, tconf, rep_dir)
-            metric_name = METRIC[index.task]
-            test_metric = report.get(metric_name, float("nan"))
+        for rep, (seed, result, metric) in enumerate(
+                _repeat(config, index, loader, tconf, tag, test, out_dir)):
             rows.append([rep, seed, result.best_epoch,
-                         repr(result.best_metric), repr(test_metric)])
+                         repr(result.best_metric), repr(metric)])
             print(f"run {rep}: best val {result.best_metric:.4f} "
-                  f"(epoch {result.best_epoch}), test {test_metric:.4f}")
+                  f"(epoch {result.best_epoch}), test {metric:.4f}")
         _write_csv(os.path.join(out_dir, "runs.csv"),
                    ["repeat", "seed", "best_epoch", "val_metric", "test_metric"],
                    rows)
@@ -261,74 +265,45 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
-    config = load_run_config(args.config, args.set or [])
     grid = _parse_list("--grid", args.grid, float)
     for alpha in grid:
         if not 0.0 <= alpha < 1.0:
             raise ConfigError(f"grid value {alpha} outside [0, 1)")
-    index, base_dir = _load_index(args.data, config.seed)
-    loader, probe = _bag_loader(index, base_dir)
-    base = config.train_config(index, probe)
-    metric_name = METRIC[index.task]
-    with _RunDir(args.out, force=args.force) as out_dir:
-        echo_config(config, out_dir)
-        rows = []
-        for alpha in grid:
-            metrics = []
-            for rep in range(config.repeats):
-                seed = derive_seed(config.seed, f"alpha:{alpha}:rep:{rep}")
-                tconf = replace(base, seed=seed, drop_alpha=alpha)
-                result = train(index, tconf, bag_loader=loader)
-                metrics.append(result.best_metric)
-            rows.append([repr(alpha), repr(float(np.mean(metrics))),
-                         repr(float(np.std(metrics)))])
-            print(f"alpha={alpha}: val {metric_name} "
-                  f"{np.mean(metrics):.4f} +/- {np.std(metrics):.4f}")
-        _write_csv(os.path.join(out_dir, "sweep.csv"),
-                   ["alpha", f"mean_val_{metric_name}", "sd"], rows)
+    config, index, loader, tconf = _setup(args)
+    variants = [(repr(alpha), f"alpha={alpha}", loader,
+                 replace(tconf, drop_alpha=alpha), f"alpha:{alpha}:rep:{{}}")
+                for alpha in grid]
+    with _run_dir(args, config) as out_dir:
+        _variant_table(config, index, variants,
+                       os.path.join(out_dir, "sweep.csv"), "alpha")
     return 0
 
 
 def cmd_ablate_scales(args) -> int:
-    config = load_run_config(args.config, args.set or [])
-    index, base_dir = _load_index(args.data, config.seed)
-    loader, probe = _bag_loader(index, base_dir)
-    if probe.n_levels < 2:
+    config, index, loader, tconf = _setup(args)
+    if tconf.n_levels < 2:
         raise ConfigError("ablate-scales needs a dataset with at least 2 levels")
-    finest = probe.n_levels - 1
-    metric_name = METRIC[index.task]
-
-    variants = {
-        "coarse-only": lambda rec: single_level_view(loader(rec), 0),
-        "fine-only": lambda rec: single_level_view(loader(rec), finest),
-        "combined": loader,
-    }
-    test_recs = index.split_records("test")
-    check_scorable("test", test_recs, config.train_config(index, probe))
-    with _RunDir(args.out, force=args.force) as out_dir:
-        echo_config(config, out_dir)
-        rows = []
-        for name, variant_loader in variants.items():
-            base = config.train_config(index, variant_loader(index.records[0]))
-            metrics = []
-            for rep in range(config.repeats):
-                seed = derive_seed(config.seed, f"ablate:{name}:rep:{rep}")
-                tconf = replace(base, seed=seed)
-                result = train(index, tconf, bag_loader=variant_loader)
-                report = evaluate(result.params, test_recs,
-                                  bag_loader=variant_loader)
-                metrics.append(report[metric_name])
-            rows.append([name, repr(float(np.mean(metrics))),
-                         repr(float(np.std(metrics)))])
-            print(f"{name}: test {metric_name} {np.mean(metrics):.4f} "
-                  f"+/- {np.std(metrics):.4f}")
-        _write_csv(os.path.join(out_dir, "ablation.csv"),
-                   ["variant", f"mean_test_{metric_name}", "sd"], rows)
+    test = index.split_records("test")
+    check_scorable("test", test, tconf)
+    single = replace(tconf, n_levels=1)
+    views = [("coarse-only", lambda rec: single_level_view(loader(rec), 0),
+              single),
+             ("fine-only", lambda rec: single_level_view(
+                 loader(rec), tconf.n_levels - 1), single),
+             ("combined", loader, tconf)]
+    variants = [(name, name, view, conf, f"ablate:{name}:rep:{{}}")
+                for name, view, conf in views]
+    with _run_dir(args, config) as out_dir:
+        _variant_table(config, index, variants,
+                       os.path.join(out_dir, "ablation.csv"), "variant", test)
     return 0
 
 
 def cmd_bench(args) -> int:
     sizes = _parse_list("--sizes", args.sizes, int)
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(
+            os.path.dirname(args.out) or ".")):
+        raise ConfigError(f"--out: cannot write a file at '{args.out}'")
     rows = scaling_bench(args.encoder, args.dim, args.state, sizes,
                          repetitions=args.reps, rng_seed=args.seed)
     print(f"{'encoder':<10} {'T':>8} {'median_ms':>12} {'ratio_vs_prev':>14}")
@@ -352,39 +327,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "ablations, and scaling benchmarks. For multi-class "
                     "datasets the reported AUC is macro one-vs-rest.")
     sub = parser.add_subparsers(dest="command", required=True)
+    out_flags = argparse.ArgumentParser(add_help=False)
+    out_flags.add_argument("--out", required=True)
+    out_flags.add_argument("--force", action="store_true")
+    out_flags.add_argument("--set", action="append", metavar="KEY=VALUE")
+    data_flags = argparse.ArgumentParser(add_help=False)
+    data_flags.add_argument("--config", help="key=value config file")
+    data_flags.add_argument("--data", required=True, help="manifest path")
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
+    p = sub.add_parser("gen-data", help="generate a synthetic dataset",
+                       parents=[out_flags])
     p.add_argument("--spec", help="key=value spec file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train on a manifest dataset")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--data", required=True, help="manifest path")
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("sweep-alpha", help="grid sweep of the drop fraction")
-    p.add_argument("--config")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--grid", default="0.05,0.1,0.2")
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_sweep_alpha)
-
-    p = sub.add_parser("ablate-scales",
-                       help="coarse-only vs fine-only vs combined")
-    p.add_argument("--config")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=cmd_ablate_scales)
+    for name, func, text in [
+            ("train", cmd_train, "train on a manifest dataset"),
+            ("sweep-alpha", cmd_sweep_alpha, "grid sweep of the drop fraction"),
+            ("ablate-scales", cmd_ablate_scales,
+             "coarse-only vs fine-only vs combined")]:
+        sub.add_parser(name, help=text, parents=[data_flags, out_flags]) \
+            .set_defaults(func=func)
+    sub.choices["sweep-alpha"].add_argument("--grid", default="0.05,0.1,0.2")
 
     p = sub.add_parser("bench", help="sequence-length scaling benchmark")
     p.add_argument("--encoder", choices=["scan", "attention"], required=True)

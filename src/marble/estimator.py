@@ -34,7 +34,7 @@ from .bagdata import DatasetIndex, ManifestRecord, assign_splits
 from .errors import ConfigError
 from .metrics import SurvivalRecord, accuracy, c_index
 from .pyramid import TokenBag
-from .trainer import TrainConfig, predict, train
+from .trainer import TrainConfig, data_config, predict, train
 
 
 def _check_bags(X) -> list[TokenBag]:
@@ -76,17 +76,15 @@ class _MarbleBase(BaseEstimator):
         self.random_state = random_state
 
     def _train(self, bags: list[TokenBag], records: list[ManifestRecord],
-               task: str, n_classes: int) -> None:
+               task: str) -> None:
         n_val = max(1, int(round(self.val_fraction * len(records))))
         if n_val >= len(records):
             raise ConfigError("not enough bags for a train/val split")
         assign_splits(records, {"val": n_val}, self.random_state)
         index = DatasetIndex(task=task, records=records)
-        config = TrainConfig(
-            **{name: getattr(self, name) for name in _TRAIN_PARAMS},
-            seed=self.random_state, head=task,
-            d_model=bags[0].levels[0].embeddings.shape[1],
-            n_levels=bags[0].n_levels, n_classes=n_classes)
+        config = data_config(
+            index, bags[0], seed=self.random_state,
+            **{name: getattr(self, name) for name in _TRAIN_PARAMS})
         lookup = {rec.slide_id: bags[i] for i, rec in enumerate(records)}
         result = train(index, config, bag_loader=lambda r: lookup[r.slide_id])
         self.params_ = result.params
@@ -110,7 +108,7 @@ class MarbleClassifier(_MarbleBase):
         labels = [class_index[v] for v in y.tolist()]
         self._train(bags, [ManifestRecord(f"bag{i:05d}", "", label=label)
                            for i, label in enumerate(labels)],
-                    "classification", self.classes_.size)
+                    "classification")
         return self
 
     def predict_proba(self, X):
@@ -137,7 +135,7 @@ class MarbleCoxRegressor(_MarbleBase):
             raise ConfigError("X and y length mismatch")
         self._train(bags, [ManifestRecord(f"bag{i:05d}", "", record=record)
                            for i, record in enumerate(records)],
-                    "survival", 2)
+                    "survival")
         return self
 
     def predict(self, X):

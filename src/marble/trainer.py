@@ -41,6 +41,11 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+# TrainConfig fields the dataset decides: the task picks the head, the
+# first bag gives width and level count, the largest label the classes.
+DATA_FIELDS = ("head", "d_model", "n_levels", "n_classes")
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters; defaults follow the training protocol."""
@@ -81,6 +86,16 @@ class TrainConfig:
             self.d_inner = 2 * self.d_model
 
 
+def data_config(index: DatasetIndex, probe: TokenBag, **knobs) -> TrainConfig:
+    """The TrainConfig with `knobs` for training on `index`, whose bags
+    look like `probe`."""
+    return TrainConfig(
+        **knobs, head=index.task, d_model=probe.levels[0].embeddings.shape[1],
+        n_levels=probe.n_levels,
+        n_classes=max([2] + [r.label + 1 for r in index.records
+                             if r.label is not None]))
+
+
 class OptimizerState:
     """AdamW moments and one work array, all of the parameter count."""
 
@@ -92,14 +107,13 @@ class OptimizerState:
 
 
 def adamw_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState,
-               lr: float, betas=(0.9, 0.999), weight_decay: float = 1e-2,
-               eps: float = 1e-8) -> None:
+               lr: float, weight_decay: float = 1e-2) -> None:
     """One decoupled-weight-decay Adam update of `theta` in place:
     theta - lr m_hat / (sqrt(v_hat) + eps) - lr wd theta, with the bias
-    corrections folded into two scalars."""
+    corrections folded into two scalars; betas (0.9, 0.999), eps 1e-8."""
     if lr < 0:
         raise ConfigError("learning rate must be non-negative")
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
     m, v, a = state.m, state.v, state.work

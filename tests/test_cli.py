@@ -12,11 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marble.bagdata import read_bag, write_bag
+from marble.bagdata import load_manifest, read_bag, write_bag
 from marble.cli import RunConfig, load_run_config, main
 from marble.errors import ConfigError
 from marble.network import load_checkpoint
-from marble.pyramid import TokenBag
+from marble.pyramid import TokenBag, single_level_view
+from marble.trainer import TrainConfig, derive_seed, evaluate, train
 
 FAST = [
     "--set", "n_slides=20", "--set", "dim=8", "--set", "coarse_rows=3",
@@ -86,6 +87,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_run_config("/nonexistent/cfg.txt", [])
 
+    def test_directory_as_config_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="not found"):
+            load_run_config(str(tmp_path), [])
+
+    def test_binary_config_file(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"epochs=2\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match="cfg.txt: not UTF-8 text"):
+            load_run_config(str(path), [])
+
     @pytest.mark.parametrize("line,overrides,message", [
         ("n_slides 10", [], "cfg.txt:2: expected key=value, got 'n_slides 10'"),
         ("", ["epochs"], "--set: expected key=value, got 'epochs'"),
@@ -151,6 +162,14 @@ class TestGenData:
         assert main(["gen-data", "--out", str(tmp_path / "x"),
                      "--set", "task=regression"]) == 2
 
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert main(["gen-data", "--out", str(path), "--set", "n_slides=4",
+                     "--set", "coarse_rows=3", "--set", "coarse_cols=3"]) == 2
+        assert f"cannot create output directory '{path}'" \
+            in capsys.readouterr().err
+
 
 class TestTrain:
 
@@ -181,6 +200,12 @@ class TestTrain:
         assert main(["train", "--data", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "run")] + FAST) == 3
 
+    def test_binary_manifest_exit_code(self, dataset, tmp_path, capsys):
+        bag = os.path.join(dataset, "s00001.bag")
+        assert main(["train", "--data", bag,
+                     "--out", str(tmp_path / "run")] + SHORT) == 3
+        assert f"cannot read manifest {bag}" in capsys.readouterr().err
+
     def test_truncated_bag_exit_code_names_the_file(self, dataset, tmp_path,
                                                     capsys):
         path = os.path.join(dataset, "s00007.bag")
@@ -190,6 +215,22 @@ class TestTrain:
         assert main(["train", "--data", manifest,
                      "--out", str(tmp_path / "run")] + SHORT) == 3
         assert "s00007.bag: bag file truncated" in capsys.readouterr().err
+
+    def test_missing_bag_exit_code_names_the_file(self, dataset, tmp_path,
+                                                  capsys):
+        os.remove(os.path.join(dataset, "s00007.bag"))
+        manifest = os.path.join(dataset, "manifest.csv")
+        assert main(["train", "--data", manifest,
+                     "--out", str(tmp_path / "run")] + SHORT) == 3
+        assert "s00007.bag" in capsys.readouterr().err
+
+    def test_out_under_a_file_exits_2(self, dataset, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        out = str(tmp_path / "taken" / "sub")
+        assert main(["train", "--data", os.path.join(dataset, "manifest.csv"),
+                     "--out", out] + SHORT) == 2
+        assert f"cannot create output directory '{out}'" \
+            in capsys.readouterr().err
 
     def test_bag_unlike_the_probe_exit_code_names_the_file(self, dataset,
                                                             tmp_path, capsys):
@@ -333,6 +374,67 @@ class TestAblateScales:
                      "--out", str(tmp_path / "a")] + FAST) == 2
 
 
+class TestSeeds:
+    """Each command's seed rule, pinned by re-running train() and
+    evaluate() directly at the documented seeds."""
+
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_train_seeds(self, dataset, tmp_path, repeats):
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", os.path.join(dataset, "manifest.csv"),
+                     "--out", out, "--set", "seed=7",
+                     "--set", f"repeats={repeats}"] + SHORT) == 0
+        want = [7] if repeats == 1 else [derive_seed(7, f"repeat:{r}")
+                                         for r in range(repeats)]
+        assert [int(row[1]) for row in
+                read_csv(os.path.join(out, "runs.csv"))[1:]] == want
+
+    @staticmethod
+    def direct(manifest, view, tags, test, **knobs):
+        """[mean, population sd] of train() runs at derive_seed(0, tag):
+        the test AUC when `test`, else the best validation AUC."""
+        index = load_manifest(manifest, split_seed=derive_seed(0, "split"))
+        base = os.path.dirname(manifest)
+
+        def load(rec):
+            return view(read_bag(os.path.join(base, rec.path)))
+        metrics = []
+        for tag in tags:
+            result = train(index, TrainConfig(
+                epochs=2, warmup_epochs=1, d_state=2, d_model=8,
+                seed=derive_seed(0, tag), **knobs), bag_loader=load)
+            metrics.append(evaluate(result.params, index.split_records("test"),
+                                    bag_loader=load)["auc"] if test
+                           else result.best_metric)
+        return [repr(float(np.mean(metrics))), repr(float(np.std(metrics)))]
+
+    def test_sweep_alpha_seeds(self, dataset, tmp_path):
+        manifest = os.path.join(dataset, "manifest.csv")
+        out = str(tmp_path / "sweep")
+        assert main(["sweep-alpha", "--data", manifest, "--out", out,
+                     "--grid", "0,0.3", "--set", "repeats=2"] + SHORT) == 0
+        assert read_csv(os.path.join(out, "sweep.csv"))[1:] == [
+            [repr(alpha)] + self.direct(
+                manifest, lambda bag: bag,
+                [f"alpha:{alpha}:rep:0", f"alpha:{alpha}:rep:1"], False,
+                drop_alpha=alpha)
+            for alpha in (0.0, 0.3)]
+
+    def test_ablate_scales_seeds(self, dataset, tmp_path):
+        manifest = os.path.join(dataset, "manifest.csv")
+        out = str(tmp_path / "ablate")
+        assert main(["ablate-scales", "--data", manifest, "--out", out,
+                     "--set", "repeats=2"] + SHORT) == 0
+        views = {"coarse-only": (lambda bag: single_level_view(bag, 0), 1),
+                 "fine-only": (lambda bag: single_level_view(bag, 1), 1),
+                 "combined": (lambda bag: bag, 2)}
+        assert read_csv(os.path.join(out, "ablation.csv"))[1:] == [
+            [name] + self.direct(
+                manifest, view, [f"ablate:{name}:rep:0", f"ablate:{name}:rep:1"],
+                True, n_levels=levels)
+            for name, (view, levels) in views.items()]
+
+
 class TestBench:
 
     def test_scan_bench_csv(self, tmp_path):
@@ -355,6 +457,17 @@ class TestBench:
                      "--out", str(out)] + args) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_unwritable_out_exits_2_before_timing(self, tmp_path, capsys,
+                                                  monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--encoder", "scan", "--sizes", "16",
+                     "--dim", "4", "--reps", "3", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: --out: cannot write a file at '{out}'" \
+            in captured.err
+        assert captured.out == ""
 
     def test_attention_bench_runs(self, tmp_path):
         assert main(["bench", "--encoder", "attention", "--sizes", "64,128",

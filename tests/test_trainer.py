@@ -64,7 +64,7 @@ class TestAdamW:
         g = rng.normal(size=6)
         start = theta.copy()
         lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
-        adamw_step(theta, g, OptimizerState(6), lr, (b1, b2), wd)
+        adamw_step(theta, g, OptimizerState(6), lr, wd)
         m_hat = (1 - b1) * g / (1 - b1)
         v_hat = (1 - b2) * g * g / (1 - b2)
         expected = start - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * start
@@ -79,7 +79,7 @@ class TestAdamW:
         state = OptimizerState(7)
         for t in range(1, 6):
             g = rng.normal(size=7)
-            adamw_step(theta, g, state, lr, (b1, b2), wd, eps)
+            adamw_step(theta, g, state, lr, wd)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             m_hat = m / (1 - b1 ** t)
@@ -90,15 +90,14 @@ class TestAdamW:
     def test_decay_is_decoupled(self):
         # zero gradient still shrinks the parameter by lr * wd * p
         theta = np.array([2.0])
-        adamw_step(theta, np.array([0.0]), OptimizerState(1), 0.1,
-                   (0.9, 0.999), 0.5)
+        adamw_step(theta, np.array([0.0]), OptimizerState(1), 0.1, 0.5)
         assert theta[0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0)
 
     def test_moments_persist_across_steps(self):
         theta = np.array([0.0])
         state = OptimizerState(1)
         for _ in range(3):
-            adamw_step(theta, np.array([1.0]), state, 0.01, (0.9, 0.999), 0.0)
+            adamw_step(theta, np.array([1.0]), state, 0.01, 0.0)
         assert state.step == 3
         assert theta[0] < 0  # moving against the gradient
 
