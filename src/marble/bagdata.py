@@ -56,8 +56,11 @@ class SynthSpec:
             raise ConfigError("censoring rate must be in [0, 1)")
         if self.task not in ("classification", "survival"):
             raise ConfigError(f"unknown task '{self.task}'")
-        if self.levels < 1:
-            raise ConfigError("need at least one level")
+        for name in ("n_slides", "levels", "ratio", "coarse_rows",
+                     "coarse_cols", "dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got "
+                                  f"{getattr(self, name)}")
         if not 1 <= self.positive_pairs <= min(self.planted_coarse,
                                                self.planted_fine):
             raise ConfigError("positive_pairs must be in [1, planted budget]")
@@ -377,16 +380,23 @@ def load_manifest(path: str, split_seed: int = 0) -> DatasetIndex:
             raise FormatError(f"manifest line {lineno}: duplicate slide id "
                               f"'{slide_id}'")
         seen.add(slide_id)
-        try:
+        try:    # each ValueError is a FormatError naming the line
             if row_task == "classification":
-                rec = ManifestRecord(slide_id, bag_path, label=int(fields[2]),
+                label = int(fields[2])
+                if label < 0:
+                    raise ValueError(f"negative label {label}")
+                rec = ManifestRecord(slide_id, bag_path, label=label,
                                      split=split)
             else:
+                time = float(fields[2])
+                if not 0 < time < float("inf"):
+                    raise ValueError(f"survival time {time} is not finite "
+                                     f"and positive")
+                if fields[3] not in ("0", "1"):
+                    raise ValueError(f"event '{fields[3]}' is not 0 or 1")
                 rec = ManifestRecord(
                     slide_id, bag_path,
-                    record=SurvivalRecord(float(fields[2]),
-                                          fields[3] == "1"),
-                    split=split)
+                    record=SurvivalRecord(time, fields[3] == "1"), split=split)
         except ValueError as exc:
             raise FormatError(f"manifest line {lineno}: {exc}") from exc
         records.append(rec)

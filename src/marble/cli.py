@@ -24,7 +24,7 @@ from .bagdata import (DatasetIndex, ManifestRecord, SynthSpec,
                       write_bag, write_manifest)
 from .errors import ConfigError, FormatError, MarbleError, NumericError
 from .network import save_checkpoint
-from .pyramid import TokenBag, single_level_view
+from .pyramid import single_level_view
 from .ssmcore import scaling_bench
 from .trainer import (DATA_FIELDS, METRIC, TrainConfig, check_scorable,
                       data_config, derive_seed, evaluate, train)
@@ -125,41 +125,37 @@ def _run_dir(args, config: RunConfig):
 
 
 def _setup(args):
-    """The run config, the manifest, a loader of its bags and the
-    TrainConfig its first bag decides. A bag whose level count or width
-    differs from the first bag's is a data error naming its file."""
+    """The run config, the manifest, its bags by slide id, each read once,
+    and the TrainConfig the first bag decides. A bag whose level count or
+    width differs from the first bag's is a data error naming its file."""
     config = load_run_config(args.config, args.set or [])
     if not os.path.exists(args.data):
         raise FormatError(f"manifest not found: {args.data}")
     index = load_manifest(args.data, split_seed=derive_seed(config.seed, "split"))
     base_dir = os.path.dirname(os.path.abspath(args.data))
-
-    def read(record: ManifestRecord) -> TokenBag:
-        # os.path.join keeps a manifest path that is already absolute
-        return read_bag(os.path.join(base_dir, record.path))
-
+    # os.path.join keeps a manifest path that is already absolute
+    bags = {rec.slide_id: read_bag(os.path.join(base_dir, rec.path))
+            for rec in index.records}
     first = index.records[0]
-    tconf = data_config(index, read(first),
+    tconf = data_config(index, bags[first.slide_id],
                         **{key: getattr(config, key) for key in _TRAIN_KEYS})
-
-    def load(record: ManifestRecord) -> TokenBag:
-        bag = read(record)
+    for rec, bag in zip(index.records, bags.values()):
         got = (bag.n_levels, bag.levels[0].embeddings.shape[1])
         if got != (tconf.n_levels, tconf.d_model):
-            raise FormatError(f"{record.path}: {got[0]} levels of width "
+            raise FormatError(f"{rec.path}: {got[0]} levels of width "
                               f"{got[1]}, but {first.path} has "
                               f"{tconf.n_levels} of width {tconf.d_model}")
-        return bag
-    return config, index, load, tconf
+    return config, index, bags, tconf
 
 
-def _repeat(config: RunConfig, index: DatasetIndex, loader,
+def _repeat(config: RunConfig, index: DatasetIndex, bags: dict,
             tconf: TrainConfig, tag: str | None, test=(), out=None):
     """Yield (seed, TrainResult, test metric) for each of `config.repeats`
-    trainings of `tconf`. Pass r is seeded by derive_seed(seed,
-    tag.format(r)), or by the seed itself when `tag` is None, and scored
-    on `test` (nan when empty). With `out`, each pass writes epochs.csv
-    and best.ckpt there, or to out/run<r> when there are repeats."""
+    trainings of `tconf` on `bags`, by slide id. Pass r is seeded by
+    derive_seed(seed, tag.format(r)), or by the seed itself when `tag` is
+    None, and scored on `test` (nan when empty). With `out`, each pass
+    writes epochs.csv and best.ckpt there, or to out/run<r> if repeated."""
+    loader = lambda rec: bags[rec.slide_id]
     for rep in range(config.repeats):
         seed = config.seed if tag is None \
             else derive_seed(config.seed, tag.format(rep))
@@ -186,14 +182,14 @@ def _variant_table(config: RunConfig, index: DatasetIndex, variants: list,
                    path: str, key_name: str, test=()) -> None:
     """Print and write to `path` the mean and population sd over the
     repeats of each variant's test metric, or its best validation metric
-    when there is no `test`. A variant is (CSV key, printed label, bag
-    loader, TrainConfig, seed tag)."""
+    when there is no `test`. A variant is (CSV key, printed label, bags
+    by slide id, TrainConfig, seed tag)."""
     metric_name = METRIC[index.task]
     split = "test" if test else "val"
     rows = []
-    for key, label, loader, tconf, tag in variants:
+    for key, label, bags, tconf, tag in variants:
         metrics = [metric if test else result.best_metric for _, result, metric
-                   in _repeat(config, index, loader, tconf, tag, test)]
+                   in _repeat(config, index, bags, tconf, tag, test)]
         mean, sd = np.mean(metrics), np.std(metrics)
         rows.append([key, repr(float(mean)), repr(float(sd))])
         print(f"{label}: {split} {metric_name} {mean:.4f} +/- {sd:.4f}")
@@ -241,7 +237,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, index, loader, tconf = _setup(args)
+    config, index, bags, tconf = _setup(args)
     test = index.split_records("test")
     if test:
         check_scorable("test", test, tconf)
@@ -249,7 +245,7 @@ def cmd_train(args) -> int:
         tag = "repeat:{}" if config.repeats > 1 else None
         rows = []
         for rep, (seed, result, metric) in enumerate(
-                _repeat(config, index, loader, tconf, tag, test, out_dir)):
+                _repeat(config, index, bags, tconf, tag, test, out_dir)):
             rows.append([rep, seed, result.best_epoch,
                          repr(result.best_metric), repr(metric)])
             print(f"run {rep}: best val {result.best_metric:.4f} "
@@ -269,8 +265,8 @@ def cmd_sweep_alpha(args) -> int:
     for alpha in grid:
         if not 0.0 <= alpha < 1.0:
             raise ConfigError(f"grid value {alpha} outside [0, 1)")
-    config, index, loader, tconf = _setup(args)
-    variants = [(repr(alpha), f"alpha={alpha}", loader,
+    config, index, bags, tconf = _setup(args)
+    variants = [(repr(alpha), f"alpha={alpha}", bags,
                  replace(tconf, drop_alpha=alpha), f"alpha:{alpha}:rep:{{}}")
                 for alpha in grid]
     with _run_dir(args, config) as out_dir:
@@ -280,19 +276,18 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def cmd_ablate_scales(args) -> int:
-    config, index, loader, tconf = _setup(args)
+    config, index, bags, tconf = _setup(args)
     if tconf.n_levels < 2:
         raise ConfigError("ablate-scales needs a dataset with at least 2 levels")
     test = index.split_records("test")
     check_scorable("test", test, tconf)
     single = replace(tconf, n_levels=1)
-    views = [("coarse-only", lambda rec: single_level_view(loader(rec), 0),
-              single),
-             ("fine-only", lambda rec: single_level_view(
-                 loader(rec), tconf.n_levels - 1), single),
-             ("combined", loader, tconf)]
+    views = [(name, {sid: single_level_view(bag, level)
+                     for sid, bag in bags.items()}, single)
+             for name, level in (("coarse-only", 0),
+                                 ("fine-only", tconf.n_levels - 1))]
     variants = [(name, name, view, conf, f"ablate:{name}:rep:{{}}")
-                for name, view, conf in views]
+                for name, view, conf in views + [("combined", bags, tconf)]]
     with _run_dir(args, config) as out_dir:
         _variant_table(config, index, variants,
                        os.path.join(out_dir, "ablation.csv"), "variant", test)

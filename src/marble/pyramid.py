@@ -184,9 +184,9 @@ def shuffle_within_levels(bag: TokenBag, rng_seed: int) -> TokenBag:
 
 
 def single_level_view(bag: TokenBag, level: int) -> TokenBag:
-    """A one-level bag holding only the tokens of `level` (for ablations)."""
+    """A one-level bag holding only the tokens of `level` (for ablations);
+    it shares that level's arrays with `bag`."""
     if not 0 <= level < bag.n_levels:
         raise ConfigError(f"level {level} out of range for {bag.n_levels}-level bag")
     lv = bag.levels[level]
-    return TokenBag(levels=[BagLevel(lv.embeddings.copy(), lv.coords.copy(),
-                                     None, None)])
+    return TokenBag(levels=[BagLevel(lv.embeddings, lv.coords, None, None)])

@@ -77,8 +77,16 @@ class TrainConfig:
             raise ConfigError(f"unknown head '{self.head}'")
         if self.cox_chunk < 1:
             raise ConfigError(f"cox_chunk must be at least 1, got {self.cox_chunk}")
-        if self.cox_lambda < 0:
-            raise ConfigError(f"cox_lambda must be non-negative, got {self.cox_lambda}")
+        for name in ("base_lr", "weight_decay", "cox_lambda"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and non-negative, "
+                                  f"got {value}")
+        if self.early_stop_patience < 1 or self.warmup_epochs < 0:
+            raise ConfigError(f"need early_stop_patience >= 1 and "
+                              f"warmup_epochs >= 0, got "
+                              f"{self.early_stop_patience} and "
+                              f"{self.warmup_epochs}")
         if self.d_state < 1 or self.d_inner < 0:
             raise ConfigError(f"need d_state >= 1 and d_inner >= 0, got "
                               f"{self.d_state} and {self.d_inner}")
@@ -185,7 +193,9 @@ def _regularized_bag(bag: TokenBag, config: TrainConfig, epoch: int,
 
 def train(index: DatasetIndex, config: TrainConfig,
           bag_loader) -> TrainResult:
-    """Full training run per the protocol; reproducible from config.seed."""
+    """Full training run per the protocol; reproducible from config.seed.
+    `bag_loader(record)` runs whenever a slide is needed; nothing is cached,
+    so pass one holding the bags in memory, as the CLI and estimators do."""
     train_recs = index.split_records("train")
     val_recs = index.split_records("val")
     if not train_recs or not val_recs:
@@ -196,13 +206,6 @@ def train(index: DatasetIndex, config: TrainConfig,
         raise ConfigError(f"config head '{config.head}' does not match "
                           f"dataset task '{index.task}'")
     check_scorable("val", val_recs, config)
-    cache: dict[str, TokenBag] = {}
-
-    def cached(record: ManifestRecord) -> TokenBag:   # each bag read once
-        if record.slide_id not in cache:
-            cache[record.slide_id] = bag_loader(record)
-        return cache[record.slide_id]
-
     params = init_marble_params(
         config.d_model, config.d_inner, config.d_state, config.n_levels,
         config.head, config.n_classes,
@@ -223,14 +226,14 @@ def train(index: DatasetIndex, config: TrainConfig,
         losses: list[float] = []
         for start in range(0, len(order), step):
             chunk = [train_recs[i] for i in order[start:start + step]]
-            bags = [cached(rec) for rec in chunk]
+            bags = [bag_loader(rec) for rec in chunk]
             losses.append(_step(
                 lambda j: _regularized_bag(bags[j], config, epoch, start + j),
                 chunk, params, state, lr, config, epoch))
         train_loss = float(np.mean(losses)) if losses else 0.0
 
         val_metric = evaluate(params, val_recs,
-                              bag_loader=cached)[METRIC[index.task]]
+                              bag_loader=bag_loader)[METRIC[index.task]]
         improved = val_metric > best_metric
         if improved:
             best_metric = val_metric

@@ -32,6 +32,8 @@ class TestSynthSpec:
         {"noise": 0.0}, {"amplitude": -1.0}, {"censor_rate": 1.0},
         {"task": "regression"}, {"levels": 0},
         {"positive_pairs": 0}, {"positive_pairs": 4},
+        {"n_slides": 0}, {"dim": 0}, {"ratio": 0}, {"coarse_rows": 0},
+        {"coarse_cols": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -428,6 +430,23 @@ class TestManifest:
         path.write_text("# header\n\na,x.bag,0,train\n")
         loaded = load_manifest(str(path))
         assert len(loaded.records) == 1
+
+    @pytest.mark.parametrize("row,message", [
+        ("b,y.bag,-1", "negative label -1"),
+        ("b,y.bag,-5.0,1", "survival time -5.0 is not finite and positive"),
+        ("b,y.bag,0,1", "survival time 0.0 is not finite and positive"),
+        ("b,y.bag,nan,0", "survival time nan is not finite and positive"),
+        ("b,y.bag,inf,1", "survival time inf is not finite and positive"),
+        ("b,y.bag,2.5,yes", "event 'yes' is not 0 or 1"),
+    ], ids=["negative-label", "negative-time", "zero-time", "nan-time",
+            "inf-time", "bad-event"])
+    def test_untrainable_row_rejected_naming_its_line(self, tmp_path, row,
+                                                      message):
+        first = "a,x.bag,0" if row.count(",") == 2 else "a,x.bag,1.5,1"
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"{first}\n{row}\n")
+        with pytest.raises(FormatError, match=f"manifest line 2: {message}"):
+            load_manifest(str(path))
 
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"

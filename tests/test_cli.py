@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from marble import cli
 from marble.bagdata import load_manifest, read_bag, write_bag
 from marble.cli import RunConfig, load_run_config, main
 from marble.errors import ConfigError
@@ -118,14 +119,26 @@ class TestRunConfig:
         assert "repeats must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("item", ["d_state=0", "d_inner=-4"])
+    @pytest.mark.parametrize("item,message", [
+        pytest.param(item, message, id=item) for item, message in [
+            ("d_state=0", "d_state >= 1 and d_inner >= 0"),
+            ("d_inner=-4", "d_state >= 1 and d_inner >= 0"),
+            ("early_stop_patience=0",
+             "early_stop_patience >= 1 and warmup_epochs >= 0"),
+            ("warmup_epochs=-1",
+             "early_stop_patience >= 1 and warmup_epochs >= 0"),
+            ("base_lr=-1", "base_lr must be finite and non-negative"),
+            ("base_lr=nan", "base_lr must be finite and non-negative"),
+            ("weight_decay=inf", "weight_decay must be finite and non-negative"),
+            ("cox_lambda=nan", "cox_lambda must be finite and non-negative")]])
     def test_model_dims_rejected_before_output(self, dataset, tmp_path,
-                                               capsys, item):
-        # d_state=0 used to train and write a checkpoint the reader refuses
+                                               capsys, item, message):
+        # d_state=0 used to train and write a checkpoint the reader refuses,
+        # and base_lr=-1 failed only at the first optimizer step
         out = str(tmp_path / "run")
         assert main(["train", "--data", os.path.join(dataset, "manifest.csv"),
                      "--out", out] + SHORT + ["--set", item]) == 2
-        assert "d_state >= 1 and d_inner >= 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("item", ["batch_size=1", "n_classes=2", "beta1=0.9",
@@ -161,6 +174,15 @@ class TestGenData:
     def test_bad_config_exit_code(self, tmp_path):
         assert main(["gen-data", "--out", str(tmp_path / "x"),
                      "--set", "task=regression"]) == 2
+
+    @pytest.mark.parametrize("item", ["n_slides=0", "dim=0", "ratio=0",
+                                      "coarse_rows=0", "coarse_cols=-1"])
+    def test_size_below_one_exits_before_output(self, tmp_path, capsys, item):
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out", str(out), "--set", item]) == 2
+        assert f"{item.split('=')[0]} must be at least 1" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "taken"
@@ -215,6 +237,23 @@ class TestTrain:
         assert main(["train", "--data", manifest,
                      "--out", str(tmp_path / "run")] + SHORT) == 3
         assert "s00007.bag: bag file truncated" in capsys.readouterr().err
+
+    def test_truncated_test_bag_exits_before_output(self, dataset, tmp_path,
+                                                    capsys):
+        # the test split is scored only after training, but its bags are
+        # read and checked before the run directory is made; the manifest's
+        # first bag, which decides the model's shape, does not show that
+        manifest = os.path.join(dataset, "manifest.csv")
+        rec = load_manifest(manifest, split_seed=derive_seed(0, "split")) \
+            .split_records("test")[-1]
+        assert rec.slide_id != "s00000"
+        path = os.path.join(dataset, rec.path)
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:-10])
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", manifest, "--out", out] + SHORT) == 3
+        assert f"{rec.path}: bag file truncated" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_missing_bag_exit_code_names_the_file(self, dataset, tmp_path,
                                                   capsys):
@@ -433,6 +472,27 @@ class TestSeeds:
                 manifest, view, [f"ablate:{name}:rep:0", f"ablate:{name}:rep:1"],
                 True, n_levels=levels)
             for name, (view, levels) in views.items()]
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--set", "repeats=2"],
+    ["sweep-alpha", "--grid", "0,0.3", "--set", "repeats=2"],
+    ["ablate-scales", "--set", "repeats=2"]])
+def test_each_bag_read_once(tmp_path, monkeypatch, command):
+    """Whatever the variants and repeats, a command reads each manifest
+    bag once."""
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--out", data, "--set", "n_slides=40",
+                 "--set", "dim=8"]) == 0
+    reads = []
+    monkeypatch.setattr(cli, "read_bag",
+                        lambda path: reads.append(path) or read_bag(path))
+    assert main(command + ["--data", os.path.join(data, "manifest.csv"),
+                           "--out", str(tmp_path / "run")] + SHORT) == 0
+    bags = sorted(os.path.join(data, name) for name in os.listdir(data)
+                  if name.endswith(".bag"))
+    assert len(bags) == 40
+    assert sorted(reads) == bags
 
 
 class TestBench:

@@ -156,6 +156,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"drop_alpha": 1.0}, {"warmup_epochs": 5, "epochs": 3},
         {"head": "regression"}, {"cox_chunk": 0}, {"cox_lambda": -1e-4},
+        {"early_stop_patience": 0}, {"warmup_epochs": -1}, {"base_lr": -1.0},
+        {"base_lr": math.nan}, {"weight_decay": -1e-2},
+        {"weight_decay": math.inf}, {"cox_lambda": math.nan},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
