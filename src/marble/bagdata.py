@@ -48,6 +48,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("noise", "amplitude", "hazard_gamma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
         if self.noise <= 0:
             raise ConfigError("noise sigma must be positive")
         if self.amplitude < 0:
@@ -61,6 +65,9 @@ class SynthSpec:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got "
                                   f"{getattr(self, name)}")
+        if self.dim < 2:
+            raise ConfigError(f"two orthogonal planted directions need "
+                              f"dim >= 2, got {self.dim}")
         if not 1 <= self.positive_pairs <= min(self.planted_coarse,
                                                self.planted_fine):
             raise ConfigError("positive_pairs must be in [1, planted budget]")

@@ -67,8 +67,10 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Reverse sweep from a scalar loss; writes `.grad` on leaves, in
         place where a leaf already has a `.grad` array. Each node is
-        released (set to None) once its backward has run, so the sweep
-        frees the forward's arrays as it goes; a tape sweeps only once."""
+        released (set to None) before its backward runs, and the sweep
+        keeps only its output's id, so an output that no backward reads
+        is freed before its node allocates gradients; a tape sweeps only
+        once."""
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         nodes = self.nodes
@@ -77,10 +79,11 @@ class Tape:
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         holders: dict[int, Tensor] = {id(loss): loss}
         for i in reversed(range(len(nodes))):
-            out, inputs, backward_fn = nodes[i]
+            key = id(nodes[i][0])
+            inputs, backward_fn = nodes[i][1:]
             nodes[i] = None
-            g = grads.pop(id(out), None)
-            holders.pop(id(out), None)
+            holders.pop(key, None)
+            g = grads.pop(key, None)
             if g is None:
                 continue
             for tensor, gi in zip(inputs, backward_fn(g)):
@@ -92,6 +95,8 @@ class Tape:
                 else:
                     grads[key] = np.asarray(gi, dtype=np.float64).reshape(tensor.shape)
                     holders[key] = tensor
+            # neither may outlive the node: `tensor` can be the next output
+            tensor = gi = None
         for key, g in grads.items():
             tensor = holders[key]
             if tensor.requires_grad and tensor.grad is not None:

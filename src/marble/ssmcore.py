@@ -10,9 +10,12 @@ and output, (T / 16) E N floats, and backward recomputes each chunk's
 decays, injections and states from it, so no (T, E, N) array and no
 (T, E) intermediate is stored. The step size and the gated residual are
 one tape node each, keeping only u, x and s and rebuilding the rest in
-backward. A naive O(T^2) materialization of the same recurrence
-(`reference_scan`) serves as the correctness oracle, and a plain
-quadratic self-attention layer is kept around as the benchmark foil.
+backward. The scan's and the gate's backward do their per-row work in
+blocks of `_ROW_BLOCK` rows, so neither allocates a (T, E) array beyond
+the gradients it returns. A naive O(T^2) materialization of the same
+recurrence (`reference_scan`) serves as the correctness oracle, and a
+plain quadratic self-attention layer is kept around as the benchmark
+foil.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .numerics import Tensor
 # scan steps per chunk; a (_CHUNK, E, N) state buffer at E=128, N=16 is
 # 256 KB and stays in L2 cache
 _CHUNK = 16
+# rows per block of the scan's and the gate's backward work; a sequence
+# of at most this many rows is one block
+_ROW_BLOCK = 256
 
 
 @dataclass
@@ -201,13 +207,25 @@ def selective_scan(u: Tensor, delta: Tensor, b: Tensor, c: Tensor,
                 g_abar[s:e] *= abar[:n]
                 np.matmul(bd[s:e, None, :], ghc, out=g_inj[s:e, None, :])
                 np.matmul(ghc, du[:n, :, None], out=gb[s:e, :, None])
-            work = np.multiply(g_abar, dd)
-            ga = work.sum(axis=0)
-            g_abar *= ad
-            g_abar += np.multiply(g_inj, ud, out=work)
-            gskip = np.multiply(gy, ud, out=work).sum(axis=0)
-            g_inj *= dd
-            g_inj += np.multiply(gy, skip, out=work)
+            # d/d delta, d/d u and the ga, gskip sums, one block of rows
+            # at a time in one (_ROW_BLOCK, E) work buffer
+            work = np.empty((min(_ROW_BLOCK, t_len), e_dim))
+            for r in range(0, t_len, _ROW_BLOCK):
+                rows = slice(r, r + _ROW_BLOCK)
+                g_d, g_u, d_r, u_r, gy_r = (g_abar[rows], g_inj[rows],
+                                            dd[rows], ud[rows], gy[rows])
+                w = work[:len(d_r)]
+                ga_r = np.multiply(g_d, d_r, out=w).sum(axis=0)
+                g_d *= ad
+                g_d += np.multiply(g_u, u_r, out=w)
+                gskip_r = np.multiply(gy_r, u_r, out=w).sum(axis=0)
+                g_u *= d_r
+                g_u += np.multiply(gy_r, skip, out=w)
+                if r:
+                    ga += ga_r
+                    gskip += gskip_r
+                else:
+                    ga, gskip = ga_r, gskip_r
         return (g_inj, g_abar, gb, gc, ga, gskip)
 
     return nm.record_primitive("selective_scan", y, (u, delta, b, c, a, d),
@@ -260,8 +278,9 @@ def step_size(u: Tensor, w_delta: Tensor, b_delta: Tensor) -> Tensor:
 def gated_residual(x: Tensor, s: Tensor, w_gate: Tensor,
                    w_out: Tensor) -> Tensor:
     """x + (s * silu(x @ w_gate)) @ w_out as one node. The tape keeps only
-    x and s; backward rebuilds z = x @ w_gate, its sigmoid and silu, in
-    three (T, E) buffers reused in place."""
+    x and s; backward rebuilds z = x @ w_gate, its sigmoid and silu for
+    one block of `_ROW_BLOCK` rows at a time, in three buffers reused in
+    place, and sums the weight gradients over the blocks."""
     xd, sd, wg, wo = x.data, s.data, w_gate.data, w_out.data
     z = xd @ wg
     m = nm._sigmoid(z)
@@ -271,21 +290,32 @@ def gated_residual(x: Tensor, s: Tensor, w_gate: Tensor,
     out += xd
 
     def backward(g):
-        silu = xd @ wg                 # z for now
-        sig = nm._sigmoid(silu)
-        dsilu = np.subtract(1.0, sig)  # silu'(z) = sig (1 + z (1 - sig))
-        dsilu *= silu
-        dsilu += 1.0
-        dsilu *= sig
-        silu *= sig
-        g_wo = np.multiply(sd, silu, out=sig).T @ g
-        g_m = np.matmul(g, wo.T, out=sig)
-        silu *= g_m                    # d loss / d s
-        g_m *= sd
-        g_m *= dsilu                   # d loss / d z
-        del dsilu
-        g_x = g_m @ wg.T + g if x.requires_grad else None
-        return (g_x, silu, xd.T @ g_m, g_wo)
+        g_x = np.empty_like(xd) if x.requires_grad else None
+        g_s = np.empty_like(sd)
+        for r in range(0, xd.shape[0], _ROW_BLOCK):
+            rows = slice(r, r + _ROW_BLOCK)
+            xr, sr, gr = xd[rows], sd[rows], g[rows]
+            silu = xr @ wg             # z for now
+            sig = nm._sigmoid(silu)
+            dsilu = np.subtract(1.0, sig)  # silu'(z) = sig (1 + z (1 - sig))
+            dsilu *= silu
+            dsilu += 1.0
+            dsilu *= sig
+            silu *= sig
+            g_wo_r = np.multiply(sr, silu, out=sig).T @ gr
+            g_m = np.matmul(gr, wo.T, out=sig)
+            np.multiply(silu, g_m, out=g_s[rows])   # d loss / d s
+            g_m *= sr
+            g_m *= dsilu               # d loss / d z
+            if g_x is not None:
+                np.add(g_m @ wg.T, gr, out=g_x[rows])
+            g_wg_r = xr.T @ g_m
+            if r:
+                g_wg += g_wg_r
+                g_wo += g_wo_r
+            else:
+                g_wg, g_wo = g_wg_r, g_wo_r
+        return (g_x, g_s, g_wg, g_wo)
 
     return nm.record_primitive("gated_residual", out, (x, s, w_gate, w_out),
                                backward)

@@ -87,6 +87,8 @@ class TrainConfig:
                               f"warmup_epochs >= 0, got "
                               f"{self.early_stop_patience} and "
                               f"{self.warmup_epochs}")
+        if not math.isfinite(self.grad_clip):
+            raise ConfigError(f"grad_clip must be finite, got {self.grad_clip}")
         if self.d_state < 1 or self.d_inner < 0:
             raise ConfigError(f"need d_state >= 1 and d_inner >= 0, got "
                               f"{self.d_state} and {self.d_inner}")

@@ -34,6 +34,12 @@ class TestSynthSpec:
         {"positive_pairs": 0}, {"positive_pairs": 4},
         {"n_slides": 0}, {"dim": 0}, {"ratio": 0}, {"coarse_rows": 0},
         {"coarse_cols": -1},
+        # two orthogonal planted directions: at dim 1 the second came out NaN
+        {"dim": 1},
+        # NaN passed `noise <= 0` and gave all-NaN bags
+        {"noise": np.nan}, {"noise": np.inf}, {"amplitude": np.nan},
+        {"amplitude": np.inf}, {"hazard_gamma": np.nan},
+        {"hazard_gamma": -np.inf},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):

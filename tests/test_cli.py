@@ -130,7 +130,8 @@ class TestRunConfig:
             ("base_lr=-1", "base_lr must be finite and non-negative"),
             ("base_lr=nan", "base_lr must be finite and non-negative"),
             ("weight_decay=inf", "weight_decay must be finite and non-negative"),
-            ("cox_lambda=nan", "cox_lambda must be finite and non-negative")]])
+            ("cox_lambda=nan", "cox_lambda must be finite and non-negative"),
+            ("grad_clip=nan", "grad_clip must be finite")]])
     def test_model_dims_rejected_before_output(self, dataset, tmp_path,
                                                capsys, item, message):
         # d_state=0 used to train and write a checkpoint the reader refuses,
@@ -182,6 +183,19 @@ class TestGenData:
         assert main(["gen-data", "--out", str(out), "--set", item]) == 2
         assert f"{item.split('=')[0]} must be at least 1" \
             in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item,message", [
+        ("dim=1", "need dim >= 2, got 1"),
+        ("noise=nan", "noise must be finite"),
+        ("amplitude=inf", "amplitude must be finite"),
+        ("hazard_gamma=nan", "hazard_gamma must be finite")])
+    def test_unusable_signal_exits_before_output(self, tmp_path, capsys,
+                                                 item, message):
+        # dim=1 and noise=nan used to exit 0 and write bags holding NaN
+        out = tmp_path / "data"
+        assert main(["gen-data", "--out", str(out), "--set", item]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):

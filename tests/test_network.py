@@ -450,7 +450,7 @@ class TestEncodeSlide:
         finally:
             tracemalloc.stop()
         assert kept <= 6.0 * unit
-        assert peak <= 9.5 * unit
+        assert peak <= 7.9 * unit
 
     def test_full_model_gradient(self):
         rng = np.random.default_rng(12)

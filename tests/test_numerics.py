@@ -279,6 +279,26 @@ class TestBackward:
             tape.backward(loss)
         assert seen == {"alive": False}
 
+    def test_output_is_freed_before_its_backward_runs(self):
+        # a node whose backward does not read its output must not keep it
+        # alive while that backward allocates its gradients
+        rng = np.random.default_rng(15)
+        x = rand_tensor(rng, (8, 8))
+        seen = {}
+
+        def twice(g):
+            seen["alive"] = own() is not None
+            return (2.0 * g,)
+
+        with Tape() as tape:
+            doubled = nm.record_primitive("twice", 2.0 * x.data, [x], twice)
+            own = weakref.ref(doubled.data)
+            loss = nm.tsum(doubled)
+            del doubled
+            tape.backward(loss)
+        assert seen == {"alive": False}
+        assert np.array_equal(x.grad, np.full((8, 8), 2.0))
+
     def test_nan_fails_fast(self):
         with pytest.raises(NumericError) as exc:
             nm.exp(Tensor([1e6]))

@@ -159,10 +159,18 @@ class TestTrainConfig:
         {"early_stop_patience": 0}, {"warmup_epochs": -1}, {"base_lr": -1.0},
         {"base_lr": math.nan}, {"weight_decay": -1e-2},
         {"weight_decay": math.inf}, {"cox_lambda": math.nan},
+        {"grad_clip": math.nan}, {"grad_clip": math.inf},
+        {"grad_clip": -math.inf},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             tiny_config(**kwargs)
+
+    @pytest.mark.parametrize("grad_clip", [0.0, -1.0])
+    def test_non_positive_grad_clip_is_accepted(self, grad_clip):
+        # values <= 0 disable clipping (TestClip); a non-finite one, which
+        # used to disable it silently, is refused above
+        assert tiny_config(grad_clip=grad_clip).grad_clip == grad_clip
 
 
 class TestTrainLoop:
