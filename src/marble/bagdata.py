@@ -142,12 +142,13 @@ def generate_slide(spec: SynthSpec, target, rng: np.random.Generator
     fine_level = levels[-1] if spec.levels > 1 else levels[0]
     fine_sig: list[int] = []
     if spec.levels > 1:
-        children_of = {p: np.nonzero(_ancestor0(levels, len(levels) - 1) == p)[0]
-                       for p in range(n_coarse)}
+        ancestors = _ancestor0(levels, len(levels) - 1)
+        children_of = {p: np.nonzero(ancestors == p)[0] for p in range(n_coarse)}
         for p in paired_parents:
             fine_sig.append(int(rng.choice(children_of[int(p)])))
+        signalled = set(coarse_sig.tolist())
         decoy_pool = np.concatenate(
-            [children_of[p] for p in range(n_coarse) if p not in set(coarse_sig.tolist())]
+            [children_of[p] for p in range(n_coarse) if p not in signalled]
         ) if n_coarse > spec.planted_coarse else np.empty(0, dtype=np.int64)
         n_decoys = spec.planted_fine - pair_count
         if len(decoy_pool) < n_decoys:

@@ -88,13 +88,6 @@ class MarbleParams:
         """(name, tensor) of every parameter, in `param_shapes` order."""
         return list(self._named)
 
-    def copy(self) -> MarbleParams:
-        """An independent model with the same parameter values."""
-        block = self.blocks[0]
-        return MarbleParams(self.d_model, block.d_inner, block.d_state,
-                            self.n_levels, self.head, self.n_classes,
-                            theta=self.theta.copy())
-
     def squared_norm(self) -> Tensor:
         """Sum of squares over every trainable parameter (for the l2
         penalty of the survival loss)."""
@@ -174,7 +167,7 @@ def fuse_level(x_k: np.ndarray, y_prev: Tensor, parents, fuse_w: Tensor,
 
     def backward(g):
         gy = np.zeros_like(yd)
-        np.add.at(gy, idx, (g @ wd.T)[:, xd.shape[1]:])
+        np.add.at(gy, idx, g @ wd[xd.shape[1]:].T)
         return (gy, joined().T @ g, g.sum(axis=0))
 
     return nm.record_primitive("fuse_level", out, (y_prev, fuse_w, fuse_b),

@@ -65,17 +65,21 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> None:
-        """Reverse sweep from a scalar loss; writes `.grad` on leaves, in
-        place where a leaf already has a `.grad` array. Each node is
-        released (set to None) before its backward runs, and the sweep
-        keeps only its output's id, so an output that no backward reads
-        is freed before its node allocates gradients; a tape sweeps only
-        once."""
+        """Reverse sweep from a scalar loss; writes `.grad` on leaves. A
+        leaf whose `.grad` is already an array (e.g. a view into
+        MarbleParams.grad) gets each contribution written into it as it
+        arrives, the first assigned and the rest added, so the sweep holds
+        no copy of it. Each node is released (set to None) before its
+        backward runs, and the sweep keeps only its output's id, so an
+        output that no backward reads is freed before its node allocates
+        gradients; a tape sweeps only once."""
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         nodes = self.nodes
         if nodes and nodes[-1] is None:
             raise RuntimeError("this tape was already swept; record a new one")
+        outputs = {id(node[0]) for node in nodes}
+        written: set[int] = set()          # bound leaves written this sweep
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         holders: dict[int, Tensor] = {id(loss): loss}
         for i in reversed(range(len(nodes))):
@@ -90,7 +94,14 @@ class Tape:
                 if gi is None or not tensor.requires_grad:
                     continue
                 key = id(tensor)
-                if key in grads:
+                if tensor.grad is not None and key not in outputs:
+                    gi = np.reshape(gi, tensor.shape)
+                    if key in written:
+                        tensor.grad += gi
+                    else:
+                        tensor.grad[...] = gi
+                        written.add(key)
+                elif key in grads:
                     grads[key] = grads[key] + gi
                 else:
                     grads[key] = np.asarray(gi, dtype=np.float64).reshape(tensor.shape)
@@ -100,7 +111,7 @@ class Tape:
         for key, g in grads.items():
             tensor = holders[key]
             if tensor.requires_grad and tensor.grad is not None:
-                tensor.grad[...] = g      # e.g. a view into MarbleParams.grad
+                tensor.grad[...] = g      # a bound loss with no nodes
             elif tensor.requires_grad:    # a copy: one array may feed two leaves
                 tensor.grad = g.copy()
 

@@ -145,8 +145,11 @@ def coarse_branch_drop(bag: TokenBag, alpha: float, rng_seed: int) -> TokenBag:
     """Drop ceil(alpha * T_0) level-0 tokens and prune their descendants.
 
     Sampling is uniform without replacement from the seeded generator; at
-    least one level-0 token is always retained. Parent indices of the
-    surviving fine tokens are remapped to the compacted ordering.
+    least one level-0 token is always retained, and if the draw would
+    empty a finer level (a kept token may have no descendants), the first
+    dropped token whose branch reaches every level is kept too. Parent
+    indices of the surviving fine tokens are remapped to the compacted
+    ordering.
     """
     if not 0.0 <= alpha < 1.0:
         raise ConfigError(f"drop fraction must be in [0, 1), got {alpha}")
@@ -159,7 +162,12 @@ def coarse_branch_drop(bag: TokenBag, alpha: float, rng_seed: int) -> TokenBag:
     rng = np.random.default_rng(rng_seed)
     dropped = rng.choice(t0, size=n_drop, replace=False)
     keep0 = np.setdiff1d(np.arange(t0), dropped)
-    return _cascade(bag, keep0)
+    out = _cascade(bag, keep0)
+    for token in dropped:
+        if min(out.token_counts()) > 0:
+            break
+        out = _cascade(bag, np.append(keep0, token))
+    return out
 
 
 def shuffle_within_levels(bag: TokenBag, rng_seed: int) -> TokenBag:

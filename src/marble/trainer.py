@@ -106,13 +106,18 @@ def data_config(index: DatasetIndex, probe: TokenBag, **knobs) -> TrainConfig:
                              if r.label is not None]))
 
 
+# entries per AdamW pass: the work array is at most this long
+_ADAMW_BLOCK = 32768
+
+
 class OptimizerState:
-    """AdamW moments and one work array, all of the parameter count."""
+    """AdamW moments, of the parameter count, and one work array of at
+    most `_ADAMW_BLOCK` entries."""
 
     def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self.work = np.empty(size)
+        self.work = np.empty(min(size, _ADAMW_BLOCK))
         self.step = 0
 
 
@@ -120,34 +125,41 @@ def adamw_step(theta: np.ndarray, grad: np.ndarray, state: OptimizerState,
                lr: float, weight_decay: float = 1e-2) -> None:
     """One decoupled-weight-decay Adam update of `theta` in place:
     theta - lr m_hat / (sqrt(v_hat) + eps) - lr wd theta, with the bias
-    corrections folded into two scalars; betas (0.9, 0.999), eps 1e-8."""
+    corrections folded into two scalars; betas (0.9, 0.999), eps 1e-8.
+    Every pass is elementwise, so running them block by block gives the
+    whole-vector result bit for bit."""
     if lr < 0:
         raise ConfigError("learning rate must be non-negative")
     b1, b2, eps = 0.9, 0.999, 1e-8
     state.step += 1
     t = state.step
-    m, v, a = state.m, state.v, state.work
-    np.subtract(grad, m, out=a)
-    a *= 1 - b1
-    m += a
-    np.multiply(grad, grad, out=a)
-    a -= v
-    a *= 1 - b2
-    v += a
     # m_hat / (sqrt(v_hat) + eps) == m c2 / (c1 (sqrt(v) + eps c2))
     c1, c2 = 1 - b1 ** t, math.sqrt(1 - b2 ** t)
-    np.sqrt(v, out=a)
-    a += eps * c2
-    np.divide(m, a, out=a)
-    a *= lr * c2 / c1
-    theta *= 1 - lr * weight_decay
-    theta -= a
+    for lo in range(0, theta.size, _ADAMW_BLOCK):
+        block = slice(lo, lo + _ADAMW_BLOCK)
+        p, g, m, v = theta[block], grad[block], state.m[block], state.v[block]
+        a = state.work[:p.size]
+        np.subtract(g, m, out=a)
+        a *= 1 - b1
+        m += a
+        np.multiply(g, g, out=a)
+        a -= v
+        a *= 1 - b2
+        v += a
+        np.sqrt(v, out=a)
+        a += eps * c2
+        np.divide(m, a, out=a)
+        a *= lr * c2 / c1
+        p *= 1 - lr * weight_decay
+        p -= a
 
 
 def clip_gradients(grad: np.ndarray, max_norm: float) -> float:
     """Scale `grad` in place so its l2 norm is at most max_norm; returns
-    the norm before clipping."""
+    the norm before clipping. A non-finite norm is a NumericError."""
     norm = math.sqrt(float(grad @ grad))
+    if not math.isfinite(norm):
+        raise NumericError("gradient_norm")
     if max_norm > 0 and norm > max_norm:
         grad *= max_norm / norm
     return norm
@@ -218,7 +230,7 @@ def train(index: DatasetIndex, config: TrainConfig,
 
     best_metric = -math.inf
     best_epoch = -1
-    best_params: MarbleParams | None = None
+    best_theta: np.ndarray | None = None
     stagnant = 0
     reports: list[EpochReport] = []
 
@@ -240,7 +252,7 @@ def train(index: DatasetIndex, config: TrainConfig,
         if improved:
             best_metric = val_metric
             best_epoch = epoch
-            best_params = params.copy()
+            best_theta = params.theta.copy()
             stagnant = 0
         else:
             stagnant += 1
@@ -250,8 +262,11 @@ def train(index: DatasetIndex, config: TrainConfig,
         if stop:
             break
 
-    assert best_params is not None
-    return TrainResult(params=best_params, best_epoch=best_epoch,
+    assert best_theta is not None
+    best = MarbleParams(config.d_model, config.d_inner, config.d_state,
+                        config.n_levels, config.head, config.n_classes,
+                        theta=best_theta)
+    return TrainResult(params=best, best_epoch=best_epoch,
                        best_metric=best_metric, reports=reports)
 
 
@@ -270,12 +285,15 @@ def _naming(where: str):
 def _step(bag_of, chunk, params, state, lr, config, epoch) -> float:
     """One optimizer step on `chunk`, slide j's bag built by `bag_of(j)`
     when reached: cross-entropy on one slide, or the Cox loss on the chunk."""
-    if config.head == HEAD_CLASSIFICATION:
-        loss = _slide_backward(bag_of(0), chunk[0], params, epoch,
-                               lambda out: cross_entropy(out, chunk[0].label))
-    else:
-        loss = _cox_gradient(bag_of, chunk, params, config.cox_lambda, epoch)
-    clip_gradients(params.grad, config.grad_clip)
+    # backward checks no gradient for finiteness; their norm does, once
+    with np.errstate(all="ignore"):
+        if config.head == HEAD_CLASSIFICATION:
+            loss = _slide_backward(bag_of(0), chunk[0], params, epoch,
+                                   lambda out: cross_entropy(out, chunk[0].label))
+        else:
+            loss = _cox_gradient(bag_of, chunk, params, config.cox_lambda, epoch)
+        with _naming(f"epoch {epoch}, step at slide {chunk[0].slide_id}"):
+            clip_gradients(params.grad, config.grad_clip)
     adamw_step(params.theta, params.grad, state, lr,
                weight_decay=config.weight_decay)
     return loss

@@ -17,7 +17,7 @@ from marble.bagdata import load_manifest, read_bag, write_bag
 from marble.cli import RunConfig, load_run_config, main
 from marble.errors import ConfigError
 from marble.network import load_checkpoint
-from marble.pyramid import TokenBag, single_level_view
+from marble.pyramid import BagLevel, TokenBag, single_level_view
 from marble.trainer import TrainConfig, derive_seed, evaluate, train
 
 FAST = [
@@ -507,6 +507,60 @@ def test_each_bag_read_once(tmp_path, monkeypatch, command):
                   if name.endswith(".bag"))
     assert len(bags) == 40
     assert sorted(reads) == bags
+
+
+def random_bag(rng, n_levels, dim, scale):
+    """A pyramid the reader accepts: 1 to 2 x 2 coarse cells, ratio 1 or 2
+    per level, and at each level a random non-empty subset of the cells
+    under the level above, one token half the time."""
+    def subset(cells):
+        n = 1 if rng.random() < 0.5 else int(rng.integers(1, len(cells) + 1))
+        return [cells[i] for i in sorted(rng.choice(len(cells), n, replace=False))]
+
+    def embeddings(count):
+        return (rng.standard_normal((count, dim)) * scale).astype(np.float32)
+
+    rows, cols = rng.integers(1, 3, size=2)
+    coords = np.array(subset([(r, c) for r in range(rows) for c in range(cols)]))
+    levels = [BagLevel(embeddings(len(coords)), coords, None)]
+    for _ in range(1, n_levels):
+        ratio = int(rng.integers(1, 3))
+        kept = subset([(p, (r * ratio + dr, c * ratio + dc))
+                       for p, (r, c) in enumerate(levels[-1].coords.tolist())
+                       for dr in range(ratio) for dc in range(ratio)])
+        levels.append(BagLevel(embeddings(len(kept)),
+                               np.array([rc for _, rc in kept]),
+                               np.array([p for p, _ in kept]), ratio))
+    return TokenBag(levels)
+
+
+def test_every_reader_accepted_bag_set_trains_or_exits_cleanly(tmp_path, capsys):
+    """Seeded fuzz: 48 sets of bags that read_bag accepts, with 3 or 4
+    levels, 1-token levels, ratio 1 and largest magnitudes from 1e-3 to
+    1e30, each trained by `marble train`. Every run exits 0 (trained), 2
+    (config), 3 (data) or 4 (numeric failure), never 1 or a traceback."""
+    rng = np.random.default_rng(1010)
+    codes = []
+    for case in range(48):
+        data = tmp_path / f"case{case}"
+        data.mkdir()
+        n_levels, dim = int(rng.integers(3, 5)), int(rng.integers(1, 5))
+        # half the sets at everyday magnitudes, half up to 1e30
+        scale = 10.0 ** rng.uniform(-3, 1 if case % 4 < 2 else 30)
+        lines = []
+        for i, split in enumerate(["train"] * 4 + ["val"] * 2 + ["test"] * 2):
+            write_bag(random_bag(rng, n_levels, dim, scale),
+                      str(data / f"b{i}.bag"))
+            target = (f"{rng.uniform(1, 10)!r},{int(i > 0)}" if case % 2
+                      else str(i % 2))
+            lines.append(f"b{i},b{i}.bag,{target},{split}\n")
+        (data / "manifest.csv").write_text("".join(lines))
+        code = main(["train", "--data", str(data / "manifest.csv"),
+                     "--out", str(data / "run")] + SHORT)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (case, code, err)
+        codes.append(code)
+    assert codes.count(0) >= 20 and 4 in codes, codes
 
 
 class TestBench:

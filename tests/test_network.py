@@ -119,20 +119,6 @@ class TestLayout:
             offset += size
         assert offset == params.theta.size == params.grad.size
 
-    def test_copy_is_independent(self):
-        params = init_marble_params(8, 16, 4, 2, HEAD_CLASSIFICATION, 3,
-                                    np.random.default_rng(5))
-        twin = params.copy()
-        np.testing.assert_array_equal(twin.theta, params.theta)
-        assert not np.shares_memory(twin.theta, params.theta)
-        assert (twin.head, twin.n_classes) == (params.head, params.n_classes)
-        before = params.theta.copy()
-        twin.pool_w.data[...] = 0.0
-        twin.grad[...] = 1.0
-        np.testing.assert_array_equal(params.theta, before)
-        assert not params.grad.any()
-        assert not twin.pool_w.data.any()
-
     def test_views_survive_finite_diff_check(self):
         rng = np.random.default_rng(6)
         bag = small_bag(rng, levels=1)

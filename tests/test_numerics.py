@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -298,6 +299,47 @@ class TestBackward:
             tape.backward(loss)
         assert seen == {"alive": False}
         assert np.array_equal(x.grad, np.full((8, 8), 2.0))
+
+    def test_bound_leaf_gradients_are_not_held_to_the_end(self):
+        # k large weights, tiny activations: each weight's gradient goes
+        # into its bound .grad when it arrives, so the sweep holds about
+        # one of them at a time, not all k
+        rng = np.random.default_rng(16)
+        n, k = 128, 8
+        weights = [rand_tensor(rng, (n, n)) for _ in range(k)]
+        for w in weights:
+            w.grad = np.full((n, n), np.nan)     # stale: the sweep assigns
+        h = Tensor(rng.standard_normal((1, n)) / n)
+        with Tape() as tape:
+            for w in weights:
+                h = nm.matmul(h, w)
+            loss = nm.tsum(h)
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = weights[0].data.nbytes
+        assert peak < 2.5 * size, (peak, size)
+        assert all(np.isfinite(w.grad).all() for w in weights)
+
+    def test_bound_leaf_feeding_two_nodes_gets_the_exact_sum(self):
+        rng = np.random.default_rng(17)
+        flat = np.full(12, np.nan)                  # stale: the sweep assigns
+        w = rand_tensor(rng, (3, 4))
+        w.grad = flat.reshape(3, 4)
+        x1, x2 = rand_tensor(rng, (2, 3), False), rand_tensor(rng, (5, 3), False)
+        with Tape() as tape:
+            p, q = nm.matmul(x1, w), nm.matmul(x2, w)
+            loss = nm.tsum(nm.mul(nm.exp(nm.tsum(p)), nm.exp(nm.tsum(q))))
+            tape.backward(loss)
+        e = np.exp(p.data.sum() + q.data.sum())
+        # contributions arrive in reverse record order: q's, then p's
+        want = x2.data.T @ np.full((5, 4), e) + x1.data.T @ np.full((2, 4), e)
+        assert np.array_equal(w.grad, want)
+        assert np.shares_memory(w.grad, flat)
+        assert np.array_equal(flat, want.ravel())
 
     def test_nan_fails_fast(self):
         with pytest.raises(NumericError) as exc:

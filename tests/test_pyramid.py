@@ -141,6 +141,25 @@ class TestCoarseBranchDrop:
                     assert lv.parents.dtype == np.int64
                     assert np.array_equal(lv.parents, parents)
 
+    def test_never_empties_a_finer_level(self):
+        # only coarse token 3 has descendants; a draw that drops it keeps
+        # it after all, and otherwise the draw is unchanged
+        levels = [BagLevel(np.zeros((4, 2)), np.array([(i, 0) for i in range(4)]),
+                           None),
+                  BagLevel(np.ones((2, 2)), np.array([(6, 0), (7, 1)]),
+                           np.array([3, 3]), 2),
+                  BagLevel(np.ones((1, 2)), np.array([(7, 1)]), np.array([1]), 1)]
+        bag = TokenBag(levels)
+        kept_three = 0
+        for seed in range(20):
+            out = coarse_branch_drop(bag, 0.5, rng_seed=seed)
+            dropped = np.random.default_rng(seed).choice(4, 2, replace=False)
+            assert out.token_counts() == ([2, 2, 1] if 3 not in dropped
+                                          else [3, 2, 1])
+            assert out.levels[0].coords[-1].tolist() == [3, 0]
+            kept_three += 3 in dropped
+        assert 0 < kept_three < 20
+
     @pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5])
     def test_bad_alpha(self, alpha):
         bag = make_bag(np.random.default_rng(5))

@@ -56,6 +56,11 @@ class TestDeriveSeed:
         assert derive_seed(1, "init") != derive_seed(2, "init")
 
 
+# parameter counts around AdamW's block boundaries
+SIZES = [1, trainer._ADAMW_BLOCK - 1, trainer._ADAMW_BLOCK,
+         trainer._ADAMW_BLOCK + 1, 2 * trainer._ADAMW_BLOCK + 3]
+
+
 class TestAdamW:
 
     def test_single_step_closed_form(self):
@@ -101,6 +106,38 @@ class TestAdamW:
         assert state.step == 3
         assert theta[0] < 0  # moving against the gradient
 
+    @pytest.mark.parametrize("n", SIZES)
+    def test_work_array_is_one_block_at_most(self, n):
+        assert OptimizerState(n).work.size == min(n, trainer._ADAMW_BLOCK)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_blocks_match_one_vector_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        theta = rng.normal(size=n)
+        want, m, v = theta.copy(), np.zeros(n), np.zeros(n)
+        lr, wd, b1, b2, eps = 0.01, 0.1, 0.9, 0.999, 1e-8
+        state = OptimizerState(n)
+        for t in range(1, 4):
+            g = rng.normal(size=n)
+            adamw_step(theta, g, state, lr, wd)
+            # the same passes, each over the whole vector
+            a = g - m
+            a *= 1 - b1
+            m += a
+            a = g * g
+            a -= v
+            a *= 1 - b2
+            v += a
+            c1, c2 = 1 - b1 ** t, math.sqrt(1 - b2 ** t)
+            a = np.sqrt(v)
+            a += eps * c2
+            a = m / a
+            a *= lr * c2 / c1
+            want *= 1 - lr * wd
+            want -= a
+            assert np.array_equal(theta, want)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
     def test_negative_lr_rejected(self):
         with pytest.raises(ConfigError):
             adamw_step(np.array([1.0]), np.array([0.0]), OptimizerState(1),
@@ -124,6 +161,13 @@ class TestClip:
         grad = np.array([100.0])
         clip_gradients(grad, 0.0)
         assert grad[0] == 100.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_norm_is_a_numeric_error(self, bad):
+        # at 1e200 every entry is finite but the norm overflows
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="gradient_norm"):
+            clip_gradients(np.array([1.0, bad]), 5.0)
 
 
 class TestSchedule:
@@ -292,6 +336,10 @@ class TestTrainLoop:
         result = train(index, tiny_config(epochs=4), bag_loader=loader)
         best = max(r.val_metric for r in result.reports)
         assert result.best_metric == best
+        # the returned model is the best epoch's, not the last one's
+        val = evaluate(result.params, index.split_records("val"),
+                       bag_loader=loader)
+        assert val["auc"] == best
 
 
 class TestEvaluate:
