@@ -10,6 +10,7 @@ exposes `predict`/`predict_proba`/`score`.
 from __future__ import annotations
 
 import inspect
+from dataclasses import field, fields, make_dataclass
 
 import numpy as np
 
@@ -52,29 +53,20 @@ def _check_bags(X) -> list[TokenBag]:
 _TRAIN_PARAMS = ("d_state", "epochs", "warmup_epochs", "base_lr",
                  "weight_decay", "drop_alpha", "early_stop_patience",
                  "grad_clip")
+_TRAIN_FIELDS = {f.name: f for f in fields(TrainConfig)}
+
+# The keyword-only constructor parameters, each declared once; no repr
+# or eq, so BaseEstimator's stay.
+_Params = make_dataclass(
+    "_Params",
+    [(name, _TRAIN_FIELDS[name].type, field(default=_TRAIN_FIELDS[name].default))
+     for name in _TRAIN_PARAMS]
+    + [("val_fraction", "float", field(default=0.15)),
+       ("random_state", "int", field(default=0))],
+    kw_only=True, repr=False, eq=False, namespace={"__module__": __name__})
 
 
-class _MarbleBase(BaseEstimator):
-    def __init__(self, *, d_state=TrainConfig.d_state,
-                 epochs=TrainConfig.epochs,
-                 warmup_epochs=TrainConfig.warmup_epochs,
-                 base_lr=TrainConfig.base_lr,
-                 weight_decay=TrainConfig.weight_decay,
-                 drop_alpha=TrainConfig.drop_alpha,
-                 early_stop_patience=TrainConfig.early_stop_patience,
-                 grad_clip=TrainConfig.grad_clip, val_fraction=0.15,
-                 random_state=0):
-        self.d_state = d_state
-        self.epochs = epochs
-        self.warmup_epochs = warmup_epochs
-        self.base_lr = base_lr
-        self.weight_decay = weight_decay
-        self.drop_alpha = drop_alpha
-        self.early_stop_patience = early_stop_patience
-        self.grad_clip = grad_clip
-        self.val_fraction = val_fraction
-        self.random_state = random_state
-
+class _MarbleBase(_Params, BaseEstimator):
     def _train(self, bags: list[TokenBag], records: list[ManifestRecord],
                task: str) -> None:
         n_val = max(1, int(round(self.val_fraction * len(records))))

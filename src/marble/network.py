@@ -4,8 +4,7 @@ slide-level head (linear classifier or Cox risk score).
 
 Levels are encoded strictly coarsest-first because fusing level k reads
 the encoded output of level k-1. Pooling and the head see only the
-finest level; coarser encodings are exposed on the output for
-inspection.
+finest level.
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ class MarbleParams:
 class SlideOutput:
     """Everything the forward pass produces for one slide."""
 
-    encoded: list[Tensor]     # Y^(k) per level
     pool_weights: np.ndarray  # (T_finest,)
     output: Tensor            # logits (C,) or risk scalar ()
 
@@ -186,7 +184,7 @@ def pool_head(y: Tensor, pool_w: Tensor, head_w: Tensor,
             or hd.shape != head_shape or hd.ndim != 1 + (head_b is not None):
         raise DimensionError(f"pool_head: tokens {yd.shape}, pool weight "
                              f"{wd.shape} and head {hd.shape} disagree")
-    with np.errstate(over="ignore", invalid="ignore"):    # caught by _finish
+    with np.errstate(over="ignore", invalid="ignore"):    # caught by record_primitive
         scores = (yd @ wd.reshape(d_model, 1)).reshape(-1)
         e = np.exp(scores - scores.max())
         weights = e / e.sum()
@@ -219,7 +217,6 @@ def encode_slide(bag: TokenBag, params: MarbleParams) -> SlideOutput:
     if bag.n_levels != params.n_levels:
         raise DimensionError(
             f"bag has {bag.n_levels} levels, model expects {params.n_levels}")
-    encoded: list[Tensor] = []
     y_prev: Tensor | None = None
     for k, level in enumerate(bag.levels):
         if level.count < 1:
@@ -234,13 +231,12 @@ def encode_slide(bag: TokenBag, params: MarbleParams) -> SlideOutput:
             x = fuse_level(level.embeddings, y_prev, level.parents,
                            params.fuse_w[k - 1], params.fuse_b[k - 1])
         y_prev = ssm_block_forward(x, params.blocks[k])
-        encoded.append(y_prev)
     if params.head == HEAD_CLASSIFICATION:
         output, weights = pool_head(y_prev, params.pool_w, params.cls_w,
                                     params.cls_b)
     else:
         output, weights = pool_head(y_prev, params.pool_w, params.cox_beta)
-    return SlideOutput(encoded=encoded, pool_weights=weights, output=output)
+    return SlideOutput(pool_weights=weights, output=output)
 
 
 # ---------------------------------------------------------------------------

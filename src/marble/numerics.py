@@ -66,27 +66,38 @@ class Tape:
 
     def backward(self, loss: Tensor) -> None:
         """Reverse sweep from a scalar loss; writes `.grad` on leaves. A
-        leaf whose `.grad` is already an array (e.g. a view into
-        MarbleParams.grad) gets each contribution written into it as it
-        arrives, the first assigned and the rest added, so the sweep holds
-        no copy of it. Each node is released (set to None) before its
-        backward runs, and the sweep keeps only its output's id, so an
-        output that no backward reads is freed before its node allocates
-        gradients; a tape sweeps only once."""
+        leaf's first contribution in a sweep is assigned, into `.grad` if
+        that is an array (e.g. a view into MarbleParams.grad, never
+        rebound) or else as a new copy, and later ones are added in place,
+        so the sweep holds no leaf gradient. Each node is released (set to
+        None) before its backward runs, and the sweep keeps only its
+        output's id, so an output that no backward reads is freed before
+        its node allocates gradients; a tape sweeps only once."""
         if loss.data.size != 1:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         nodes = self.nodes
         if nodes and nodes[-1] is None:
             raise RuntimeError("this tape was already swept; record a new one")
         outputs = {id(node[0]) for node in nodes}
-        written: set[int] = set()          # bound leaves written this sweep
+        written: set[int] = set()          # leaves given a gradient this sweep
+
+        def to_leaf(leaf: Tensor, g: np.ndarray) -> None:
+            g = np.reshape(g, leaf.shape)
+            if id(leaf) in written:
+                leaf.grad += g
+            elif leaf.grad is None:        # a copy: one array may feed two leaves
+                leaf.grad = np.array(g, dtype=np.float64)
+            else:
+                leaf.grad[...] = g
+            written.add(id(leaf))
+
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        if loss.requires_grad and id(loss) not in outputs:   # no node recorded it
+            to_leaf(loss, grads.pop(id(loss)))
         for i in reversed(range(len(nodes))):
             key = id(nodes[i][0])
             inputs, backward_fn = nodes[i][1:]
             nodes[i] = None
-            holders.pop(key, None)
             g = grads.pop(key, None)
             if g is None:
                 continue
@@ -94,47 +105,30 @@ class Tape:
                 if gi is None or not tensor.requires_grad:
                     continue
                 key = id(tensor)
-                if tensor.grad is not None and key not in outputs:
-                    gi = np.reshape(gi, tensor.shape)
-                    if key in written:
-                        tensor.grad += gi
-                    else:
-                        tensor.grad[...] = gi
-                        written.add(key)
+                if key not in outputs:
+                    to_leaf(tensor, gi)
                 elif key in grads:
                     grads[key] = grads[key] + gi
                 else:
                     grads[key] = np.asarray(gi, dtype=np.float64).reshape(tensor.shape)
-                    holders[key] = tensor
             # neither may outlive the node: `tensor` can be the next output
             tensor = gi = None
-        for key, g in grads.items():
-            tensor = holders[key]
-            if tensor.requires_grad and tensor.grad is not None:
-                tensor.grad[...] = g      # a bound loss with no nodes
-            elif tensor.requires_grad:    # a copy: one array may feed two leaves
-                tensor.grad = g.copy()
 
 
 def active_tape() -> Tape | None:
     return _ACTIVE_TAPE
 
 
-def _finish(op: str, data: np.ndarray, inputs: tuple[Tensor, ...],
-            backward_fn: Callable) -> Tensor:
-    """Finalize a primitive: finiteness check, grad flag, tape record."""
-    if not np.isfinite(data).all():
-        raise NumericError(op)
-    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
-    if _ACTIVE_TAPE is not None and out.requires_grad:
-        _ACTIVE_TAPE.nodes.append((out, inputs, backward_fn))
-    return out
-
-
 def record_primitive(op: str, data: np.ndarray, inputs: Sequence[Tensor],
                      backward_fn: Callable) -> Tensor:
-    """Hook for custom primitives defined outside this module."""
-    return _finish(op, np.asarray(data, dtype=np.float64), tuple(inputs), backward_fn)
+    """Make a primitive's output: finiteness check, grad flag and tape
+    record. `backward_fn(g)` returns one gradient (or None) per input."""
+    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
+    if not np.isfinite(out.data).all():
+        raise NumericError(op)
+    if _ACTIVE_TAPE is not None and out.requires_grad:
+        _ACTIVE_TAPE.nodes.append((out, tuple(inputs), backward_fn))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +139,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul: shapes differ {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
-    return _finish("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
+    return record_primitive("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    return _finish("scale", a.data * c, (a,), lambda g: (g * c,))
+    return record_primitive("scale", a.data * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -158,15 +152,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    return _finish("matmul", ad @ bd, (a, b),
-                   lambda g: (g @ bd.T if a.requires_grad else None,
-                              ad.T @ g if b.requires_grad else None))
+    return record_primitive("matmul", ad @ bd, (a, b),
+                            lambda g: (g @ bd.T if a.requires_grad else None,
+                                       ad.T @ g if b.requires_grad else None))
 
 
 def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):   # inf is caught by _finish
+    with np.errstate(over="ignore"):   # inf is caught by record_primitive
         out = np.exp(a.data)
-    return _finish("exp", out, (a,), lambda g: (g * out,))
+    return record_primitive("exp", out, (a,), lambda g: (g * out,))
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -180,8 +174,8 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def tsum(a: Tensor) -> Tensor:
     shape = a.shape
-    return _finish("sum", np.sum(a.data), (a,),
-                   lambda g: (np.broadcast_to(g, shape).copy(),))
+    return record_primitive("sum", np.sum(a.data), (a,),
+                            lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 # ---------------------------------------------------------------------------

@@ -214,9 +214,7 @@ def train(index: DatasetIndex, config: TrainConfig,
     val_recs = index.split_records("val")
     if not train_recs or not val_recs:
         raise ConfigError("train and val splits must both be non-empty")
-    expected_head = (HEAD_CLASSIFICATION if index.task == "classification"
-                     else HEAD_SURVIVAL)
-    if config.head != expected_head:
+    if config.head != index.task:
         raise ConfigError(f"config head '{config.head}' does not match "
                           f"dataset task '{index.task}'")
     check_scorable("val", val_recs, config)

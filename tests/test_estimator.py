@@ -42,6 +42,10 @@ class TestParamContract:
         clf = MarbleClassifier(epochs=3)
         assert base.clone(clf).get_params() == clf.get_params()
 
+    def test_sklearn_repr_shows_changed_params_only(self):
+        pytest.importorskip("sklearn")
+        assert repr(MarbleClassifier(epochs=3)) == "MarbleClassifier(epochs=3)"
+
     def test_defaults_are_train_config_defaults(self):
         params = MarbleCoxRegressor().get_params()
         assert len(params) == 10

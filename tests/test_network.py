@@ -329,9 +329,6 @@ class TestEncodeSlide:
         bag = small_bag(rng)
         params = init_marble_params(8, 16, 4, 2, HEAD_CLASSIFICATION, 2, rng)
         out = encode_slide(bag, params)
-        assert len(out.encoded) == 2
-        assert out.encoded[0].shape == (4, 8)
-        assert out.encoded[1].shape == (16, 8)
         assert out.pool_weights.shape == (16,)
         assert out.output.shape == (2,)
 

@@ -341,6 +341,36 @@ class TestBackward:
         assert np.shares_memory(w.grad, flat)
         assert np.array_equal(flat, want.ravel())
 
+    def test_unbound_leaf_gradient_is_written_when_it_arrives(self):
+        # the matmul is recorded after the probe, so its backward runs
+        # first; by the time the probe's runs, w's gradient is in place
+        rng = np.random.default_rng(18)
+        u, w = rand_tensor(rng, (2, 3)), rand_tensor(rng, (3, 4))
+        seen = {}
+
+        def probe(g):
+            seen["w.grad"] = None if w.grad is None else w.grad.copy()
+            return (g,)
+
+        with Tape() as tape:
+            p = nm.record_primitive("probe", u.data.copy(), [u], probe)
+            loss = nm.tsum(nm.matmul(p, w))
+            tape.backward(loss)
+        assert seen["w.grad"] is not None
+        assert np.array_equal(seen["w.grad"], u.data.T @ np.ones((2, 4)))
+        assert np.array_equal(w.grad, seen["w.grad"])
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_unrecorded_loss_takes_the_leaf_rule(self, bound):
+        x = Tensor(2.0, requires_grad=True)
+        stale = np.full((), np.nan)
+        if bound:
+            x.grad = stale
+        with Tape() as tape:
+            tape.backward(x)
+        assert x.grad.item() == 1.0
+        assert (x.grad is stale) == bound
+
     def test_nan_fails_fast(self):
         with pytest.raises(NumericError) as exc:
             nm.exp(Tensor([1e6]))

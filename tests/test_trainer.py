@@ -267,6 +267,15 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="does not match"):
             train(index, tiny_config(), bag_loader=loader)
 
+    def test_unknown_task_rejected_before_training(self):
+        index, loader = make_index(task="survival")
+        index.task = "Survival"          # not a head name: no metric to select
+        loaded = []
+        with pytest.raises(ConfigError, match="does not match"):
+            train(index, tiny_config(head=HEAD_SURVIVAL),
+                  bag_loader=lambda rec: loaded.append(rec) or loader(rec))
+        assert loaded == []
+
     def test_empty_split_rejected(self):
         index, loader = make_index()
         index.records = [r for r in index.records if r.split != "val"]
