@@ -19,8 +19,8 @@ from . import numerics as nm
 from .errors import ConfigError, DimensionError, FormatError
 from .numerics import Tensor
 from .pyramid import TokenBag
-from .ssmcore import (SsmBlockParams, block_shapes, init_ssm_params,
-                      ssm_block_forward)
+from .ssmcore import (SsmBlockParams, _row_blocks, block_shapes,
+                      init_ssm_params, ssm_block_forward)
 
 HEAD_CLASSIFICATION = "classification"
 HEAD_SURVIVAL = "survival"
@@ -148,8 +148,10 @@ def fuse_level(x_k: np.ndarray, y_prev: Tensor, parents, fuse_w: Tensor,
                fuse_b: Tensor) -> Tensor:
     """Augment fine tokens with their parent's encoded embedding: project
     [x_i || y_prev[parents[i]]] back to D, as one node. `x_k` is the
-    level's embeddings as stored (float32 or float64); backward rebuilds
-    the float64 concatenation, and duplicate parents accumulate."""
+    level's embeddings as stored (float32 or float64); the forward builds
+    the float64 concatenation for one block of `ssmcore._ROW_BLOCK` rows
+    at a time and backward rebuilds it whole. Duplicate parents
+    accumulate, in one `np.bincount` over (parent, column) bins."""
     xd, yd, wd, bd = np.asarray(x_k), y_prev.data, fuse_w.data, fuse_b.data
     idx = np.asarray(parents, dtype=np.int64)
     if xd.ndim != 2 or yd.ndim != 2 or idx.shape != xd.shape[:1] \
@@ -159,14 +161,20 @@ def fuse_level(x_k: np.ndarray, y_prev: Tensor, parents, fuse_w: Tensor,
             f"fuse_level: tokens {xd.shape}, parents {idx.shape} into parent "
             f"rows {yd.shape}, weight {wd.shape} and bias {bd.shape} disagree")
 
-    joined = lambda: np.concatenate([xd, yd[idx]], axis=1, dtype=np.float64)
-    out = joined() @ wd
-    out += bd
+    joined = lambda rows=slice(None): np.concatenate(
+        [xd[rows], yd[idx[rows]]], axis=1, dtype=np.float64)
+    out = np.empty((idx.size, bd.size))
+    for rows in _row_blocks(idx.size):
+        o = np.matmul(joined(rows), wd, out=out[rows])
+        o += bd
 
     def backward(g):
-        gy = np.zeros_like(yd)
-        np.add.at(gy, idx, g @ wd[xd.shape[1]:].T)
-        return (gy, joined().T @ g, g.sum(axis=0))
+        # one bin per (parent, column), each summed in row order from 0.0
+        d_y = yd.shape[1]
+        gy = np.bincount((idx[:, None] * d_y + np.arange(d_y)).ravel(),
+                         weights=(g @ wd[xd.shape[1]:].T).ravel(),
+                         minlength=yd.size)
+        return (gy.reshape(yd.shape), joined().T @ g, g.sum(axis=0))
 
     return nm.record_primitive("fuse_level", out, (y_prev, fuse_w, fuse_b),
                                backward)

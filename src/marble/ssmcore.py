@@ -10,8 +10,10 @@ and output, (T / 16) E N floats, and backward recomputes each chunk's
 decays, injections and states from it, so no (T, E, N) array and no
 (T, E) intermediate is stored. The step size and the gated residual are
 one tape node each, keeping only u, x and s and rebuilding the rest in
-backward. The scan's and the gate's backward do their per-row work in
-blocks of `_ROW_BLOCK` rows, so neither allocates a (T, E) array beyond
+backward. Their forward, like `network.fuse_level`'s, fills the output
+one block of `_ROW_BLOCK` rows at a time with per-block temporaries, and
+the scan's and the gate's backward do their per-row work in the same
+blocks, so none of them allocates a (T, E) array beyond its output or
 the gradients it returns. A naive O(T^2) materialization of the same
 recurrence (`reference_scan`) serves as the correctness oracle, and a
 plain quadratic self-attention layer is kept around as the benchmark
@@ -33,9 +35,18 @@ from .numerics import Tensor
 # scan steps per chunk; a (_CHUNK, E, N) state buffer at E=128, N=16 is
 # 256 KB and stays in L2 cache
 _CHUNK = 16
-# rows per block of the scan's and the gate's backward work; a sequence
-# of at most this many rows is one block
+# rows per block of the per-token nodes' forward and of the scan's and the
+# gate's backward work; a sequence of at most this many rows is one block
 _ROW_BLOCK = 256
+
+
+def _row_blocks(t_len: int) -> list[slice]:
+    """Forward row blocks: `_ROW_BLOCK` rows each, the last taking the
+    rest. A lone last row joins the block before it, because numpy
+    multiplies one row by another BLAS kernel (gemv), whose sums can
+    differ from the whole product's in the last bit."""
+    stops = list(range(_ROW_BLOCK, t_len - 1, _ROW_BLOCK)) + [t_len]
+    return [slice(a, b) for a, b in zip([0] + stops, stops)]
 
 
 @dataclass
@@ -252,17 +263,20 @@ def reference_scan(u, delta, b, c, a, d) -> np.ndarray:
 
 def step_size(u: Tensor, w_delta: Tensor, b_delta: Tensor) -> Tensor:
     """delta = softplus(u @ w_delta + b_delta) as one node, floored at the
-    smallest normal float64 where it would underflow to 0. The tape keeps
-    only u; backward rebuilds the pre-activation and its sigmoid in place."""
+    smallest normal float64 where it would underflow to 0, built one
+    block of `_ROW_BLOCK` rows at a time. The tape keeps only u; backward
+    rebuilds the pre-activation and its sigmoid in place."""
     ud, wd, bd = u.data, w_delta.data, b_delta.data
-    pre = ud @ wd
-    pre += bd
-    if not np.isfinite(pre).all():     # softplus(-inf) would pass as tiny
-        raise NumericError("step_size")
-    out = np.negative(np.abs(pre))
-    np.log1p(np.exp(out, out=out), out=out)
-    out += np.maximum(pre, 0.0, out=pre)
-    np.maximum(out, np.finfo(np.float64).tiny, out=out)
+    out = np.empty((ud.shape[0], wd.shape[1]))
+    for rows in _row_blocks(ud.shape[0]):
+        pre = ud[rows] @ wd
+        pre += bd
+        if not np.isfinite(pre).all():  # softplus(-inf) would pass as tiny
+            raise NumericError("step_size")
+        o = np.negative(np.abs(pre), out=out[rows])
+        np.log1p(np.exp(o, out=o), out=o)
+        o += np.maximum(pre, 0.0, out=pre)
+        np.maximum(o, np.finfo(np.float64).tiny, out=o)
 
     def backward(g):
         sig = ud @ wd
@@ -277,17 +291,20 @@ def step_size(u: Tensor, w_delta: Tensor, b_delta: Tensor) -> Tensor:
 
 def gated_residual(x: Tensor, s: Tensor, w_gate: Tensor,
                    w_out: Tensor) -> Tensor:
-    """x + (s * silu(x @ w_gate)) @ w_out as one node. The tape keeps only
-    x and s; backward rebuilds z = x @ w_gate, its sigmoid and silu for
-    one block of `_ROW_BLOCK` rows at a time, in three buffers reused in
-    place, and sums the weight gradients over the blocks."""
+    """x + (s * silu(x @ w_gate)) @ w_out as one node, built one block of
+    `_ROW_BLOCK` rows at a time. The tape keeps only x and s; backward
+    rebuilds z = x @ w_gate, its sigmoid and silu for one block of rows
+    at a time, in three buffers reused in place, and sums the weight
+    gradients over the blocks."""
     xd, sd, wg, wo = x.data, s.data, w_gate.data, w_out.data
-    z = xd @ wg
-    m = nm._sigmoid(z)
-    m *= z                             # silu(z)
-    m *= sd
-    out = m @ wo
-    out += xd
+    out = np.empty_like(xd)
+    for rows in _row_blocks(xd.shape[0]):
+        z = xd[rows] @ wg
+        m = nm._sigmoid(z)
+        m *= z                         # silu(z)
+        m *= sd[rows]
+        o = np.matmul(m, wo, out=out[rows])
+        o += xd[rows]
 
     def backward(g):
         g_x = np.empty_like(xd) if x.requires_grad else None

@@ -163,12 +163,19 @@ class TestFusionAndPooling:
             [x.data, y_prev.data[parents]], axis=1) @ w.data + b.data
         np.testing.assert_allclose(out.data, expected, atol=1e-14)
 
-    @pytest.mark.parametrize("parents", [[1, 0, 1, 1, 2, 0], [2]],
-                             ids=["duplicate-parents", "one-token"])
+    # 600 rows are two full forward row blocks of 256 and a partial one;
+    # in 513 rows the lone last row joins the second block
+    @pytest.mark.parametrize(
+        "parents", [[1, 0, 1, 1, 2, 0], [2],
+                    np.random.default_rng(0).permutation(600) % 37,
+                    np.random.default_rng(1).permutation(513) % 37],
+        ids=["duplicate-parents", "one-token", "600-rows-shuffled-parents",
+             "513-rows-shuffled-parents"])
     def test_fuse_matches_the_composite_bit_for_bit(self, parents):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(len(parents), 4)).astype(np.float32)
-        y_prev = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        y_prev = Tensor(rng.normal(size=(max(parents) + 1, 4)),
+                        requires_grad=True)
         w = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
         g = rng.normal(size=(len(parents), 4))
@@ -178,7 +185,7 @@ class TestFusionAndPooling:
         # gather, concatenate and affine map as separate steps
         joined = np.concatenate([x.astype(np.float64), y_prev.data[parents]],
                                 axis=1)
-        want_gy = np.zeros((3, 4))
+        want_gy = np.zeros_like(y_prev.data)
         np.add.at(want_gy, parents, (g @ w.data.T)[:, 4:])
         assert np.array_equal(out.data, joined @ w.data + b.data)
         assert np.array_equal(y_prev.grad, want_gy)

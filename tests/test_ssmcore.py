@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import marble.numerics as nm
-from marble.errors import ConfigError, DimensionError, DomainError
+from marble.errors import (ConfigError, DimensionError, DomainError,
+                           NumericError)
 from marble.numerics import Tensor
 from marble.ssmcore import (AttentionRefParams, attention_ref_forward,
                             gated_residual, init_attention_params,
@@ -262,6 +263,14 @@ class TestGateRowBlocks:
         for t, g in zip(inputs, grads):
             assert np.abs(t.grad - g).max() <= 1e-12 * np.abs(g).max()
 
+    def test_forward_with_a_lone_last_row_matches_the_composite(self):
+        rng = np.random.default_rng(25)
+        inputs = [rng.standard_normal(sh)
+                  for sh in [(513, 4), (513, 6), (4, 6), (6, 4)]]
+        out = gated_residual(*(Tensor(a) for a in inputs))
+        want, _ = composite_gate(*inputs, np.zeros((513, 4)))
+        assert np.array_equal(out.data, want)
+
     def test_gradients(self):
         rng = np.random.default_rng(21)
         inputs = [Tensor(rng.standard_normal(sh), True)
@@ -283,6 +292,37 @@ class TestGateRowBlocks:
         (_, _, backward), = tape.nodes
         backward(g)
         assert np.array_equal(g, kept)
+
+
+class TestStepSizeRowBlocks:
+    # 600 rows are two full forward row blocks of 256 and a partial one;
+    # in 513 rows the lone last row joins the second block
+
+    @pytest.mark.parametrize("t_len", [513, 600])
+    def test_matches_the_composite_bit_for_bit(self, t_len):
+        rng = np.random.default_rng(23)
+        inputs = [Tensor(rng.standard_normal(sh), True)
+                  for sh in [(t_len, 6), (6, 6), (6,)]]
+        w = rng.standard_normal((t_len, 6))
+        with nm.Tape() as tape:
+            out = step_size(*inputs)
+            tape.backward(nm.tsum(nm.mul(out, Tensor(w))))
+        want, grads = composite_step_size(*(t.data for t in inputs), w)
+        assert np.array_equal(out.data, want)
+        for t, g in zip(inputs, grads):
+            assert np.array_equal(t.grad, g)
+
+    def test_non_finite_pre_activation_in_the_last_block(self):
+        rng = np.random.default_rng(24)
+        u = rng.standard_normal((600, 6))
+        u[599, 2] = np.inf
+        inputs = [Tensor(u, True), Tensor(rng.standard_normal((6, 6)), True),
+                  Tensor(rng.standard_normal(6), True)]
+        with np.errstate(all="ignore"), nm.Tape() as tape:
+            with pytest.raises(NumericError) as exc:
+                step_size(*inputs)
+        assert exc.value.op == "step_size"
+        assert tape.nodes == []
 
 
 class TestSsmBlock:
@@ -349,14 +389,30 @@ class TestSsmBlock:
         try:
             with nm.Tape() as tape:
                 loss = nm.tsum(ssm_block_forward(x, p))
-                kept, _ = tracemalloc.get_traced_memory()
+                kept, forward_peak = tracemalloc.get_traced_memory()
                 tracemalloc.reset_peak()
                 tape.backward(loss)
                 _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert kept <= 5.5 * unit
+        assert forward_peak <= 5.8 * unit
         assert peak <= 7.4 * unit
+
+    def test_forward_without_a_tape_builds_no_full_length_temporaries(self):
+        # peak bytes of an evaluation forward, output included, in units
+        # of one (T, E) float64 array
+        t_len, d_model, e_dim, n_dim = 2048, 64, 128, 16
+        rng = np.random.default_rng(17)
+        p = init_ssm_params(d_model, e_dim, n_dim, rng)
+        x = Tensor(rng.standard_normal((t_len, d_model)))
+        tracemalloc.start()
+        try:
+            ssm_block_forward(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.8 * t_len * e_dim * 8
 
     def test_decay_strictly_negative(self):
         rng = np.random.default_rng(11)
